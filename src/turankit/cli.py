@@ -9,7 +9,7 @@ passing checks), 1 negative decision results and hard check failures,
 2 usage or input errors, 3 exceeded budgets or indeterminate results.
 
 Environment: TURANKIT_CACHE (solver cache dir), TURANKIT_NODE_LIMIT
-(solver search budget), TURANKIT_THREADS (reserved; 0 = auto).
+(solver search budget).
 """
 
 from __future__ import annotations
@@ -557,25 +557,12 @@ _VERIFY_DISPATCH = {
 }
 
 
-def _threads_env() -> None:
-    raw = os.environ.get("TURANKIT_THREADS")
-    if raw is None:
-        return
-    try:
-        if int(raw) < 0:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring TURANKIT_THREADS={raw!r} (want an int >= 0)",
-              file=sys.stderr)
-
-
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as stop:  # argparse prints its own message
         return int(stop.code or 0)
-    _threads_env()
     try:
         if args.command == "verify":
             code, doc, text = _VERIFY_DISPATCH[args.check](args)

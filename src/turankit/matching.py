@@ -2,10 +2,12 @@
 
 Containment is ordinary subgraph containment (not induced): an embedding
 is an injective vertex map sending every pattern edge to a host edge.
-A "copy" of a pattern F is a set of v(F) host vertices spanned by such an
-embedding; packings only care about vertex sets, so copies are
-deduplicated by image set, keeping the first embedding found under the
-deterministic search order.
+A "copy" of a pattern F is an embedding up to the automorphisms of F,
+i.e. the pair (edge image, vertex image); its vertex image holds all
+v(F) vertices, isolated ones included.  `_embeddings`, the one copy
+enumerator (the solver's copy tables read it too), yields each copy's
+lex-least embedding, in lex order.  Packings only care about vertex
+sets, so `_copies` keeps the first embedding per vertex set.
 
 The packing searches answer monotone decision questions ("is there a
 packing of size s?", "can every family's demand be met?") with a shared
@@ -23,8 +25,8 @@ All searches are exact and deterministic; hosts are limited to n <= 16
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Iterator, Optional, Sequence
 
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
@@ -87,44 +89,88 @@ def _edge_checks(f: Hypergraph, order: Sequence[int]) -> list[list[tuple]]:
     return checks
 
 
+@lru_cache(maxsize=128)
+def _plan(f: Hypergraph):
+    """Search plan for f, by position in `_pattern_order`: the pattern
+    edges completed at each position (as position tuples), the earlier
+    positions whose image each position must exceed, each position's
+    pattern degree, and where[v] = position of pattern vertex v.
+
+    Position k must exceed position i < k when order[k] lies in the orbit
+    of order[i] under the automorphisms of f fixing order[:i] pointwise
+    (Grochow & Kellis, RECOMB 2007).  Each orbit test is one first-found
+    search for such an automorphism, so Aut(f) is never listed."""
+    order = _pattern_order(f)
+    where = [order.index(v) for v in range(f.n)]
+    checks = [[tuple(where[u] for u in e) for e in es]
+              for es in _edge_checks(f, order)]
+    fdegs = f.degrees()
+    degs = [fdegs[v] for v in order]
+    free = [[u for u in range(f.n) if fdegs[u] == d] for d in degs]
+    own = set(f.edges)
+    lows: list[list[int]] = [[] for _ in order]
+    for i in range(f.n):
+        for k in range(i + 1, f.n):
+            pinned = [[v] for v in order[:i]] + [[order[k]]] + free[i + 1:]
+            if next(_dfs(checks, [()] * f.n, pinned, own), None) is not None:
+                lows[k].append(i)
+    return checks, lows, degs, where
+
+
+def _dfs(checks, lows, cands, host_edges):
+    """Injective position assignments a, in lex order, with a[k] drawn from
+    cands[k], a[k] > a[i] for every i in lows[k], and every edge in
+    checks[k] mapped into host_edges.  Yields one list, updated in place."""
+    a = [0] * len(cands)
+    used: set[int] = set()
+
+    def go(k: int):
+        if k == len(cands):
+            yield a
+            return
+        lo = max((a[i] for i in lows[k]), default=-1)
+        for w in cands[k]:
+            if w <= lo or w in used:
+                continue
+            a[k] = w
+            if all(tuple(sorted([a[p] for p in e])) in host_edges
+                   for e in checks[k]):
+                used.add(w)
+                yield from go(k + 1)
+                used.remove(w)
+
+    return go(0)
+
+
+def _embeddings(f: Hypergraph, n: int, host_edges,
+                blocked: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+    """One embedding of f into the r-graph on n vertices with edge set
+    `host_edges` (sorted tuples) avoiding `blocked`, per copy of f, as a
+    mapping tuple.  A copy is a coset of Aut(f): the pair (edge image,
+    vertex image).  Each copy is represented by its lex-least embedding
+    in `_pattern_order` coordinates, and copies come in that same lex
+    order, so the first embedding yielded is the lex-least of all."""
+    if f.n > n:
+        return
+    checks, lows, degs, where = _plan(f)
+    hdegs = [0] * n
+    for e in host_edges:
+        for v in e:
+            hdegs[v] += 1
+    blocked = set(blocked)
+    cands = [[w for w in range(n) if w not in blocked and hdegs[w] >= d]
+             for d in degs]
+    for a in _dfs(checks, lows, cands, host_edges):
+        yield tuple(a[k] for k in where)
+
+
 def embed(f: Hypergraph, h: Hypergraph,
           forbidden: Sequence[int] = ()) -> Optional[Embedding]:
     """First embedding of f into h avoiding `forbidden` vertices, or None."""
     if f.r != h.r:
         raise ValueError("embed requires equal uniformity")
-    if f.n == 0:
-        return Embedding(())
-    blocked = set(forbidden)
-    if f.n > h.n - len(blocked & set(range(h.n))):
-        return None
-    order = _pattern_order(f)
-    checks = _edge_checks(f, order)
-    fdegs = f.degrees()
-    hdegs = h.degrees()
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in range(h.n):
-            if w in used or w in blocked or hdegs[w] < fdegs[v]:
-                continue
-            assigned[v] = w
-            ok = all(h.has_edge(tuple(sorted(assigned[u] for u in e)))
-                     for e in checks[i])
-            if ok:
-                used.add(w)
-                if place(i + 1):
-                    return True
-                used.remove(w)
-        assigned.pop(v, None)
-        return False
-
-    if place(0):
-        return Embedding(tuple(assigned[v] for v in range(f.n)))
-    return None
+    found = next(_embeddings(f, h.n, set(h.edges), forbidden), None)
+    return None if found is None else Embedding(found)
 
 
 def is_free(f: Hypergraph, h: Hypergraph) -> bool:
@@ -134,43 +180,15 @@ def is_free(f: Hypergraph, h: Hypergraph) -> bool:
 
 def _copies(f: Hypergraph, h: Hypergraph) -> list[tuple[int, tuple[int, ...], Embedding]]:
     """All copies of f in h as (vertex bitmask, vertex tuple, embedding),
-    deduplicated by vertex set and sorted by vertex tuple."""
+    deduplicated by vertex set (first embedding kept) and sorted by
+    vertex tuple."""
     if f.r != h.r:
         raise ValueError("packing requires equal uniformity")
-    order = _pattern_order(f)
-    checks = _edge_checks(f, order)
-    fdegs = f.degrees()
-    hdegs = h.degrees()
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-    found: dict[tuple[int, ...], Embedding] = {}
-
-    def place(i: int) -> None:
-        if i == len(order):
-            key = tuple(sorted(assigned.values()))
-            if key not in found:
-                found[key] = Embedding(tuple(assigned[v] for v in range(f.n)))
-            return
-        v = order[i]
-        for w in range(h.n):
-            if w in used or hdegs[w] < fdegs[v]:
-                continue
-            assigned[v] = w
-            if all(h.has_edge(tuple(sorted(assigned[u] for u in e)))
-                   for e in checks[i]):
-                used.add(w)
-                place(i + 1)
-                used.remove(w)
-        assigned.pop(v, None)
-
-    place(0)
-    out = []
-    for key in sorted(found):
-        mask = 0
-        for v in key:
-            mask |= 1 << v
-        out.append((mask, key, found[key]))
-    return out
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for mapping in _embeddings(f, h.n, set(h.edges)):
+        found.setdefault(tuple(sorted(mapping)), mapping)
+    return [(sum(1 << v for v in key), key, Embedding(found[key]))
+            for key in sorted(found)]
 
 
 def _check_budget(h: Hypergraph) -> None:

@@ -17,8 +17,10 @@ Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
 pairwise disjoint on non-frozen edges force p distinct deletions, giving
 the bound count − p.  Copies of each family inside the complete host are
-precomputed once as (edge bitmask, vertex bitmask) pairs, so per-node
-feasibility checks are pure integer operations.
+precomputed once, from `matching._embeddings`, as (edge bitmask, vertex
+bitmask) pairs, so per-node feasibility checks are pure integer
+operations.  A copy's vertex mask is the image of all v(F) vertices, so
+isolated vertices of F take part in disjointness.
 
 Searches are deterministic: realizations are found lexicographically
 (families in normalized order, copies in sorted edge order, same-family
@@ -33,12 +35,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
+from .matching import _embeddings
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 _DEFAULT_CACHE_DIR = ".turankit-cache"
@@ -140,25 +143,17 @@ class _Searcher:
         self.skipped_upper = -1
 
     def _copies(self, f: Hypergraph):
-        """Distinct edge-image sets of f inside the complete host, one
-        (edge mask, vertex mask) per set, sorted for determinism."""
-        out = {}
-        if f.n > self.n:
-            return []
-        for sub in combinations(range(self.n), f.n):
-            for perm in permutations(sub):
-                emask = 0
-                for e in f.edges:
-                    emask |= 1 << self.index[tuple(sorted(perm[v] for v in e))]
-                if emask not in out:
-                    vmask = 0
-                    for e in f.edges:
-                        for v in e:
-                            vmask |= 1 << perm[v]
-                    out[emask] = vmask
-        masks = [(em, vm) for em, vm in out.items()]
-        masks.sort(key=lambda c: self._emask_key(c[0]))
-        return masks
+        """Every copy of f inside the complete host, one (edge mask,
+        vertex mask) each, sorted by edge bits then vertex mask for
+        determinism.  The vertex mask is the image of all v(f) vertices,
+        isolated ones included."""
+        copies = set()
+        for mapping in _embeddings(f, self.n, self.index):
+            # distinct edges and vertices of f have distinct images
+            emask = sum(1 << self.index[tuple(sorted(mapping[v] for v in e))]
+                        for e in f.edges)
+            copies.add((emask, sum(1 << w for w in mapping)))
+        return sorted(copies, key=lambda c: (self._emask_key(c[0]), c[1]))
 
     def _emask_key(self, emask: int):
         key = []
@@ -311,6 +306,7 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
     value, witness = s.run(best, limit, False)
     if witness is None and seed_mask is not None:
         value, witness = seeded, seed_mask
+    value = max(value, 0)  # the empty graph is feasible even if never reached
     if s.limit_hit:
         status = "bounds"
         upper = max(value, s.skipped_upper)
@@ -351,8 +347,7 @@ def _store(record: TuranRecord, path: str) -> None:
         json.dump(doc, fh)
 
 
-def _load(path: str, n: int, config: ForbiddenConfig,
-          s: Optional[_Searcher] = None) -> Optional[TuranRecord]:
+def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record, re-validating every stored extremal graph
     against the constraint before trusting it."""
     try:
@@ -368,8 +363,7 @@ def _load(path: str, n: int, config: ForbiddenConfig,
         graphs = tuple(Hypergraph(n, config.r,
                                   tuple(tuple(e) for e in edges))
                        for edges in doc["extremal"])
-        if s is None:
-            s = _Searcher(n, config)
+        s = _Searcher(n, config)
         for g in graphs:
             if g.edge_count != doc["value"]:
                 return None

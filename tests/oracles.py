@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (factorial/exponential) and written
 without reusing the package's search code, so the two sides can
-cross-check each other.  Budgets: n <= 7 for relabeling scans, small edge
+cross-check each other.  The copy-enumerator references share only the
+package's static pattern order, so that their output order can be
+compared exactly.  Budgets: n <= 7 for relabeling scans, small edge
 counts for packing enumeration.
 """
 
@@ -12,6 +14,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from turankit.core import Hypergraph
+from turankit.matching import _edge_checks, _pattern_order
 
 
 # -- tiny independent constructors (used to cross-check zoo) -----------
@@ -121,6 +124,105 @@ def brute_has_config(h: Hypergraph, config) -> bool:
         return False
 
     return place(0, frozenset())
+
+
+# -- the copy enumerators before the shared one --------------------------
+
+
+def reference_embed(f: Hypergraph, h: Hypergraph, forbidden=()):
+    """`matching.embed` before the shared enumerator: the first injective
+    map, in `_pattern_order` lex order, sending f's edges into h's and
+    avoiding `forbidden`, as a mapping tuple, or None."""
+    if f.n == 0:
+        return ()
+    blocked = set(forbidden)
+    if f.n > h.n - len(blocked & set(range(h.n))):
+        return None
+    order = _pattern_order(f)
+    checks = _edge_checks(f, order)
+    fdegs = f.degrees()
+    hdegs = h.degrees()
+    assigned: dict[int, int] = {}
+    used: set[int] = set()
+
+    def place(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in range(h.n):
+            if w in used or w in blocked or hdegs[w] < fdegs[v]:
+                continue
+            assigned[v] = w
+            if all(h.has_edge(tuple(sorted(assigned[u] for u in e)))
+                   for e in checks[i]):
+                used.add(w)
+                if place(i + 1):
+                    return True
+                used.remove(w)
+        assigned.pop(v, None)
+        return False
+
+    if place(0):
+        return tuple(assigned[v] for v in range(f.n))
+    return None
+
+
+def reference_copies(f: Hypergraph, h: Hypergraph) -> list[tuple]:
+    """`matching._copies` before the shared enumerator: every embedding
+    walked in `_pattern_order` lex order, the first kept per vertex set.
+    Returns (vertex bitmask, vertex tuple, mapping) sorted by vertex tuple."""
+    order = _pattern_order(f)
+    checks = _edge_checks(f, order)
+    fdegs = f.degrees()
+    hdegs = h.degrees()
+    assigned: dict[int, int] = {}
+    used: set[int] = set()
+    found: dict[tuple, tuple] = {}
+
+    def place(i: int) -> None:
+        if i == len(order):
+            key = tuple(sorted(assigned.values()))
+            if key not in found:
+                found[key] = tuple(assigned[v] for v in range(f.n))
+            return
+        v = order[i]
+        for w in range(h.n):
+            if w in used or hdegs[w] < fdegs[v]:
+                continue
+            assigned[v] = w
+            if all(h.has_edge(tuple(sorted(assigned[u] for u in e)))
+                   for e in checks[i]):
+                used.add(w)
+                place(i + 1)
+                used.remove(w)
+        assigned.pop(v, None)
+
+    place(0)
+    return [(sum(1 << v for v in key), key, found[key]) for key in sorted(found)]
+
+
+def reference_solver_copies(f: Hypergraph, n: int) -> list[tuple[int, int]]:
+    """`solver._Searcher._copies` before the shared enumerator: all
+    n!/(n-v)! injections of f into the complete r-graph on n vertices, one
+    (edge mask, vertex mask) per distinct edge image, sorted by edge bits.
+    Its vertex mask covers only f's non-isolated vertices."""
+    index = {e: i for i, e in enumerate(combinations(range(n), f.r))}
+    out: dict[int, int] = {}
+    for sub in combinations(range(n), f.n):
+        for perm in permutations(sub):
+            emask = 0
+            for e in f.edges:
+                emask |= 1 << index[tuple(sorted(perm[v] for v in e))]
+            if emask not in out:
+                out[emask] = sum(1 << perm[v] for v in {u for e in f.edges for u in e})
+    return sorted(out.items(), key=lambda c: [i for i in range(len(index)) if c[0] >> i & 1])
+
+
+def automorphism_count(f: Hypergraph) -> int:
+    """|Aut(f)| by scanning all v! relabelings."""
+    own = set(f.edges)
+    return sum(all(tuple(sorted(p[v] for v in e)) in own for e in f.edges)
+               for p in permutations(range(f.n)))
 
 
 # -- small exact extremal numbers ---------------------------------------

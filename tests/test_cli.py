@@ -394,16 +394,6 @@ def test_usage_errors_exit_2(files, capsys):
     assert invoke(["iso", "missing.hg", files["k3.hg"]], capsys)[0] == 2
 
 
-def test_threads_env_warns_but_runs(files, capsys, monkeypatch):
-    monkeypatch.setenv("TURANKIT_THREADS", "lots")
-    code, text, err = invoke(["iso", files["fano_a.hg"], files["fano_b.hg"]],
-                             capsys)
-    assert code == 0 and "TURANKIT_THREADS" in err
-    monkeypatch.setenv("TURANKIT_THREADS", "0")
-    assert invoke(["iso", files["fano_a.hg"], files["fano_b.hg"]],
-                  capsys)[0] == 0
-
-
 # What pip's generated console-script wrapper does: import the declared
 # `module:attr`, name the program, exit with the callable's result.
 _SCRIPT_WRAPPER = """\

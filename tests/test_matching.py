@@ -1,19 +1,23 @@
 """Embedding / packing searches against brute-force oracles."""
 
 from itertools import combinations
+from math import perm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from turankit.core import Hypergraph, complete, disjoint_union, join
 from turankit.errors import BudgetExceededError
 from turankit.matching import (
-    embed, has_disjoint_config, is_free, matching_number, rainbow_matching,
+    _copies, _embeddings, embed, has_disjoint_config, is_free,
+    matching_number, rainbow_matching,
 )
+from turankit.solver import _Searcher, config_of
 from turankit.zoo import bipartite3, fano, turan
 
 from oracles import (
-    all_copies, brute_has_config, brute_matching_number, cycle_graph,
+    all_copies, automorphism_count, brute_has_config, brute_matching_number,
+    cycle_graph, reference_copies, reference_embed, reference_solver_copies,
     relabel, turan_graph,
 )
 
@@ -30,6 +34,62 @@ def small_2graphs(max_n=7, max_edges=10):
         idx = draw(st.permutations(range(len(pool))))
         return Hypergraph(n, 2, tuple(sorted(pool[i] for i in idx[:k])))
     return build()
+
+
+@st.composite
+def small_rgraphs(draw, r, min_n, max_n, min_edges=0):
+    n = draw(st.integers(min_n, max_n))
+    pool = list(combinations(range(n), r))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    edges = tuple(e for e, k in zip(pool, keep) if k) or tuple(pool[:min_edges])
+    return Hypergraph(n, r, edges)
+
+
+@st.composite
+def pattern_host_forbidden(draw):
+    r = draw(st.sampled_from([2, 3]))
+    f = draw(small_rgraphs(r, r, 6, min_edges=1))
+    h = draw(small_rgraphs(r, f.n, 10))
+    return f, h, draw(st.sets(st.integers(0, h.n - 1), max_size=3))
+
+
+@settings(max_examples=200)
+@given(pattern_host_forbidden())
+@example((Hypergraph(4, 2, ((0, 1), (0, 2), (1, 2))), complete(7, 2), {0}))
+def test_enumerator_matches_reference_backtracks(fhx):
+    # embed and _copies read the shared enumerator; both must reproduce
+    # the backtracks they replaced, embeddings and order included
+    f, h, forbidden = fhx
+    got = embed(f, h, forbidden)
+    assert (got and got.mapping) == reference_embed(f, h, forbidden)
+    assert [(m, k, e.mapping) for m, k, e in _copies(f, h)] == reference_copies(f, h)
+
+
+@st.composite
+def pattern_and_complete_host(draw):
+    r = draw(st.sampled_from([2, 3]))
+    f = draw(small_rgraphs(r, r, 6, min_edges=1))
+    # keep the n!/(n-v)! reference walk at most 8!/2!
+    n = draw(st.integers(0, max(m for m in range(11) if perm(m, f.n) <= 20160)))
+    return f, n
+
+
+@given(pattern_and_complete_host())
+def test_complete_host_one_embedding_per_copy(fn):
+    f, n = fn
+    host = set(combinations(range(n), f.r))
+    maps = list(_embeddings(f, n, host))
+    copies = {(frozenset(tuple(sorted(m[v] for v in e)) for e in f.edges),
+               frozenset(m)) for m in maps}
+    assert len(copies) == len(maps) == perm(n, f.n) // automorphism_count(f)
+    s = _Searcher(n, config_of([(f, 1)]))
+    g = s.config.families[0][0]
+    got, ref = s.fams[0][0], reference_solver_copies(g, n)
+    if all(g.degrees()):
+        assert got == ref
+    else:  # the old vertex mask dropped isolated vertices
+        assert sorted({em for em, _ in got}) == sorted(em for em, _ in ref)
+        assert all(bin(vm).count("1") == g.n for _, vm in got)
 
 
 def test_embed_examples():

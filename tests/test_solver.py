@@ -6,14 +6,14 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import brute_has_config, brute_max_feasible, relabel, turan_graph
 from turankit.core import Hypergraph, are_isomorphic, complete, join
 from turankit.errors import BudgetExceededError
 from turankit.solver import (
-    ForbiddenConfig, TuranRecord, TuranTable, config_of, enumerate_extremal,
-    ex_table, max_edges, pi_upper,
+    ForbiddenConfig, TuranRecord, TuranTable, _solve, config_of,
+    enumerate_extremal, ex_table, max_edges, pi_upper,
 )
 from turankit.zoo import bipartite3, fano, turan
 
@@ -21,6 +21,7 @@ K3 = complete(3, 2)
 K4 = complete(4, 2)
 EDGE2 = complete(2, 2)
 EDGE3 = Hypergraph(3, 3, ((0, 1, 2),))
+K3_ISO = Hypergraph(4, 2, K3.edges)  # a triangle plus an isolated vertex
 
 
 @pytest.fixture
@@ -131,6 +132,7 @@ def test_extremal_graphs_are_feasible(cache):
 @given(st.integers(min_value=3, max_value=6),
        st.sampled_from([((K3, 1),), ((EDGE2, 2),), ((K3, 1), (EDGE2, 2)),
                         ((EDGE2, 3),)]))
+@example(6, ((K3_ISO, 2),))  # two disjoint copies need 8 vertices
 def test_value_matches_brute(tmp_path_factory, n, families):
     cfg = ForbiddenConfig(families)
     cache = str(tmp_path_factory.mktemp("cache"))
@@ -154,6 +156,10 @@ def test_node_limit_gives_bounds(cache):
     rec = max_edges(9, cfg, node_limit=50, cache_dir=cache)
     assert rec.status == "bounds"
     assert rec.value <= 20 <= rec.upper
+    # stopped before any feasible leaf: the empty graph still counts
+    rec = max_edges(10, cfg, node_limit=1, cache_dir=cache)
+    assert rec.status == "bounds"
+    assert 0 <= rec.value <= 25 <= rec.upper
     with pytest.raises(BudgetExceededError):
         enumerate_extremal(9, cfg, node_limit=50, cache_dir=cache)
     with pytest.raises(BudgetExceededError):
@@ -238,3 +244,26 @@ def test_unrealizable_config_gives_complete_graph(cache):
     assert rec.value == 21
     ext = enumerate_extremal(7, config_of([(K3, 3)]), cache_dir=cache)
     assert ext == [complete(7, 2)]
+    # isolated vertices count: two disjoint 4-vertex copies need eight
+    assert max_edges(7, config_of([(K3_ISO, 2)]), cache_dir=cache).value == 21
+
+
+# Node counts of the deletion search, pinned: the copy tables' order
+# decides which violating realization each node branches on.
+@pytest.mark.parametrize("n, families, value, nodes", [
+    (9, ((K3, 2),), 24, 41332),
+    (9, ((K4, 1),), 27, 13962),
+    (8, ((fano(), 1),), 48, 981),
+    (10, ((K3, 1),), 25, 12644),
+    (9, ((EDGE2, 3),), 15, 634),
+])
+def test_pinned_node_counts(n, families, value, nodes):
+    rec = _solve(n, config_of(families), None, False, None)
+    assert (rec.status, rec.value, rec.nodes) == ("exact", value, nodes)
+
+
+def test_pinned_enumeration_node_count():
+    rec = _solve(9, config_of([(K3, 2)]), None, True, None)
+    assert rec.nodes == 110860  # both passes
+    assert len(rec.extremal) == 1
+    assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
