@@ -5,25 +5,26 @@ edge list over all vertex permutations (edge tuples sorted ascending, edge
 lists sorted, lists compared lexicographically).  That global minimum is
 found in two phases:
 
-1.  a refinement/individualization scan (classical partition refinement,
-    branching over the first smallest non-singleton cell) whose leaves
-    yield concrete relabelings; pairs of leaves with equal relabeled edge
-    lists reveal automorphisms.  This phase supplies automorphism
-    generators and a good starting upper bound;
+1.  `refinement_scan`: a refinement/individualization scan (classical
+    partition refinement, branching over the first smallest non-singleton
+    cell) whose leaves yield concrete relabelings.  Pairs of leaves with
+    equal relabeled edge lists reveal automorphisms, and a subtree is
+    skipped only when a found automorphism maps it onto one already
+    explored, so the found generators generate all of Aut(G).  The least
+    leaf's relabeled edge list is an isomorphism invariant, and a complete
+    one (the phase-1 certificate), but not the global lex-min;
 
 2.  an exact branch-and-bound that assigns labels 0..n-1 one vertex at a
     time, pruning with (a) a sound optimistic completion bound on the
-    final edge list, and (b) orbit pruning: candidate vertices lying in a
-    common orbit of the stabilizer (under the known automorphisms) of the
-    already-assigned vertices are interchangeable, so only the first is
-    explored.  New automorphisms discovered at equal-value leaves sharpen
-    the pruning as the search runs.
+    final edge list, started from the phase-1 certificate, and (b) orbit
+    pruning: candidate vertices lying in a common orbit of the stabilizer
+    (under the phase-1 generators) of the already-assigned vertices are
+    interchangeable, so only the first is explored.
 
-Both phases are deterministic, pure Python, and desk-scale by design.
-An ordered initial partition ("cells") may be supplied: vertices of
-earlier cells are forced to receive smaller labels, which turns the
-routine into a canonical form of a vertex-colored hypergraph (used for
-marked-edge orbit tests elsewhere).
+`canonical_labeling` runs both phases.  Callers that need only equality
+of classes, automorphism orbits or an invariant choice among a graph's
+edges use the phase-1 scan alone.  Both phases are deterministic, pure
+Python, and desk-scale by design.
 """
 
 from __future__ import annotations
@@ -31,9 +32,18 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Edge = tuple[int, ...]
+
+
+class Scan(NamedTuple):
+    """The phase-1 result: `generators` generate Aut(G); `perm` (old
+    vertex -> new label) is the least leaf's labeling and `edges` its
+    relabeled edge list, the phase-1 certificate."""
+    generators: tuple[tuple[int, ...], ...]
+    perm: tuple[int, ...]
+    edges: tuple[Edge, ...]
 
 
 def _refine(n: int, incident: Sequence[Sequence[Edge]], cells: list[list[int]]) -> list[list[int]]:
@@ -68,7 +78,7 @@ class _OrbitOracle:
     """Union-find over the orbits of the subgroup generated by the known
     automorphisms that fix `base` pointwise."""
 
-    def __init__(self, n: int, generators: list[tuple[int, ...]], base):
+    def __init__(self, n: int, generators: Sequence[tuple[int, ...]], base):
         self.n = n
         self.parent = list(range(n))
         for g in generators:
@@ -94,14 +104,10 @@ class _OrbitOracle:
 
 
 def _twin_transpositions(n: int, edges: Sequence[Edge],
-                         cell_of: Sequence[int]) -> list[tuple[int, ...]]:
-    """Automorphisms that are free to detect: transpositions (u v) of
-    same-cell vertices whose swap maps the edge set onto itself."""
+                         incident: Sequence[Sequence[Edge]]) -> list[tuple[int, ...]]:
+    """Automorphisms that are free to detect: transpositions (u v) whose
+    swap maps the edge set onto itself."""
     edge_set = set(edges)
-    incident: list[list[Edge]] = [[] for _ in range(n)]
-    for e in edges:
-        for v in e:
-            incident[v].append(e)
 
     def swaps_ok(u: int, v: int) -> bool:
         for w, x in ((u, v), (v, u)):
@@ -115,17 +121,21 @@ def _twin_transpositions(n: int, edges: Sequence[Edge],
     out = []
     for u in range(n):
         for v in range(u + 1, n):
-            if cell_of[u] == cell_of[v] and swaps_ok(u, v):
+            if len(incident[u]) == len(incident[v]) and swaps_ok(u, v):
                 g = list(range(n))
                 g[u], g[v] = v, u
                 out.append(tuple(g))
     return out
 
 
-def _refinement_scan(n: int, edges: Sequence[Edge], cells0: list[list[int]],
-                     seed_gens: list[tuple[int, ...]]):
-    """Phase 1: collect automorphism generators and one achievable
-    relabeled edge list (an upper bound for phase 2)."""
+def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
+    """Phase 1: automorphism generators and the least leaf of the
+    refinement tree, seeded with the twin transpositions."""
+    if not edges:
+        # Aut is every permutation: the adjacent transpositions generate it
+        adjacent = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+                         for i in range(n - 1))
+        return Scan(adjacent, tuple(range(n)), ())
     incident: list[list[Edge]] = [[] for _ in range(n)]
     for e in edges:
         for v in e:
@@ -134,8 +144,8 @@ def _refinement_scan(n: int, edges: Sequence[Edge], cells0: list[list[int]],
     best_edges: Optional[tuple[Edge, ...]] = None
     best_perm: Optional[tuple[int, ...]] = None
     leaf_seen: dict[tuple[Edge, ...], tuple[int, ...]] = {}
-    generators: list[tuple[int, ...]] = list(seed_gens)
-    gen_set: set[tuple[int, ...]] = set(seed_gens)
+    generators = _twin_transpositions(n, edges, incident)
+    gen_set = set(generators)
 
     def visit_leaf(cells: list[list[int]]) -> None:
         nonlocal best_edges, best_perm
@@ -179,53 +189,21 @@ def _refinement_scan(n: int, edges: Sequence[Edge], cells0: list[list[int]],
             search(child, base + (v,))
             explored.append(v)
 
-    search([list(c) for c in cells0], ())
+    search([list(range(n))], ())
     assert best_perm is not None and best_edges is not None
-    return generators, gen_set, best_perm, best_edges
+    return Scan(tuple(generators), best_perm, best_edges)
 
 
-def canonical_labeling(n: int, edges: Sequence[Edge],
-                       initial_cells: Optional[Sequence[Sequence[int]]] = None,
-                       ) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
+def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
     """Return (perm, canonical_edges) with perm[old_vertex] = new_vertex.
 
     `canonical_edges` is the lexicographically least relabeling of `edges`
-    over all permutations that respect `initial_cells` (vertices of earlier
-    cells receive smaller labels).  With the default single-cell start the
-    minimum is over all n! permutations, so isomorphic inputs produce
-    identical edge lists.
+    over all n! permutations, so isomorphic inputs produce identical edge
+    lists.
     """
-    if n == 0:
-        return (), ()
-    if initial_cells is None:
-        cells0 = [list(range(n))]
-    else:
-        cells0 = [sorted(c) for c in initial_cells if len(c) > 0]
-        if sorted(v for c in cells0 for v in c) != list(range(n)):
-            raise ValueError("initial cells must partition the vertex set")
-
+    generators, seed_perm, seed_edges = refinement_scan(n, edges)
     if not edges:
-        perm = [0] * n
-        pos = 0
-        for cell in cells0:
-            for v in cell:
-                perm[v] = pos
-                pos += 1
-        return tuple(perm), ()
-
-    # cell membership and the label range each cell occupies
-    cell_of = [0] * n
-    for ci, cell in enumerate(cells0):
-        for v in cell:
-            cell_of[v] = ci
-    cell_stop = []
-    acc = 0
-    for cell in cells0:
-        acc += len(cell)
-        cell_stop.append(acc)
-
-    twins = _twin_transpositions(n, edges, cell_of)
-    generators, gen_set, seed_perm, seed_edges = _refinement_scan(n, edges, cells0, twins)
+        return seed_perm, ()
 
     m = len(edges)
     r = len(edges[0])
@@ -289,23 +267,17 @@ def canonical_labeling(n: int, edges: Sequence[Edge],
             improve(decided, tuple(assign))
             return
         if len(decided) == m:
-            # every edge already has its final tuple; finish with the
-            # least remaining vertex of each label's cell
-            here = list(assign)
-            for jj in range(j, n):
-                ci = bisect_left(cell_stop, jj + 1)
-                pick = min(u for u in cells0[ci]
-                           if label_of[u] < 0 and u not in here[j:jj])
-                here[jj] = pick
-            improve(decided, tuple(here))
+            # every edge already has its final tuple; the remaining
+            # labels go to the unused vertices in increasing order
+            rest = (u for u in range(n) if label_of[u] < 0)
+            improve(decided, tuple(assign[:j]) + tuple(rest))
             return
         if bound_beats_best(j, decided):
             return
-        # candidates: unused vertices of the cell that owns label j
-        ci = bisect_left(cell_stop, j + 1)
-        cand = [u for u in cells0[ci] if label_of[u] < 0]
         scored = []
-        for u in cand:
+        for u in range(n):
+            if label_of[u] >= 0:
+                continue
             newly = []
             for ei in incident_idx[u]:
                 e = edges[ei]
@@ -336,7 +308,7 @@ def canonical_labeling(n: int, edges: Sequence[Edge],
     search(0, [])
     if best_assign is None:
         # phase 2 never strictly improved on the phase-1 labeling
-        return seed_perm, tuple(seed_edges)
+        return seed_perm, seed_edges
     perm = [0] * n
     for label in range(n):
         perm[best_assign[label]] = label

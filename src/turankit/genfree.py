@@ -1,42 +1,49 @@
 """Isomorph-free enumeration of feasible graphs by canonical augmentation.
 
 The generation tree roots at the empty graph; a child adds one edge.
-Two filters keep the output isomorph-free without a seen-set:
+Two filters keep the output isomorph-free without a seen-set (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998):
 
-* parent side — the candidate r-sets (non-edges) are grouped into
-  automorphism orbits of the parent (cheap invariant first, marked
-  canonical forms to split ties) and one representative per orbit is
-  tried;
+* parent side — the candidate r-sets (non-edges) are split into orbits
+  of the parent's automorphism group, and one representative per orbit
+  is tried;
 * child side — an augmented graph is accepted only when the added edge
-  lies in its canonical-deletion orbit, the edge orbit minimizing an
-  isomorphism-invariant key (cheap invariant, then marked canonical
-  form).
+  lies in its canonical-deletion orbit: among the edges of least
+  isomorphism-invariant key (a cheap vertex-profile invariant), the one
+  whose image under the least-leaf labeling of the refinement scan is
+  smallest, taken with its orbit under the child's automorphisms.
 
-Marking a vertex set means pinning it as the first cell of the ordered
-partition fed to the canonical labeler: an r-set is the only edge fully
-inside its own cell, so equal marked forms mean an isomorphism carrying
-one marked set to the other.  Feasibility (no forbidden realization) is
-downward closed, so the tree never needs to look above an infeasible
-graph.  Everything is deterministic; one graph per isomorphism class is
-yielded in the generated labeling.
+Both filters read one `canon.refinement_scan` per graph: its generators
+generate the automorphism group, and its least-leaf relabeled edge list
+is an isomorphism invariant, so the chosen orbit does not depend on the
+labeling.  An accepted child's scan is reused as its own parent scan.
+Feasibility (no forbidden realization) is downward closed, so the tree
+never needs to look above an infeasible graph.  Everything is
+deterministic; one graph per isomorphism class is yielded in the
+generated labeling.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
-from .canon import canonical_labeling
+from .canon import Scan, refinement_scan
 from .core import Hypergraph
 from .solver import ForbiddenConfig, _Searcher
 
 
-def _marked_key(n: int, edges: tuple, mark: tuple) -> tuple:
-    cells = [list(mark)]
-    rest = [v for v in range(n) if v not in mark]
-    if rest:
-        cells.append(rest)
-    _, canon_edges = canonical_labeling(n, edges, initial_cells=cells)
-    return canon_edges
+def _orbit(s: tuple, generators) -> set:
+    """The orbit of the r-set `s` under the group the generators generate."""
+    orbit = {s}
+    stack = [s]
+    while stack:
+        t = stack.pop()
+        for g in generators:
+            u = tuple(sorted(g[v] for v in t))
+            if u not in orbit:
+                orbit.add(u)
+                stack.append(u)
+    return orbit
 
 
 def _vertex_profiles(n: int, edges: tuple):
@@ -58,43 +65,37 @@ def _set_invariant(profiles, s: tuple):
     return tuple(sorted(profiles[v] for v in s))
 
 
-def _orbit_representatives(n: int, edges: tuple, candidates: list) -> list:
-    """One candidate r-set per automorphism orbit of the given graph."""
-    profiles = _vertex_profiles(n, edges)
-    groups: dict = {}
-    for s in candidates:
-        groups.setdefault(_set_invariant(profiles, s), []).append(s)
+def _orbit_representatives(candidates: list, generators) -> list:
+    """The least candidate r-set of each automorphism orbit; `candidates`
+    is in increasing order and closed under the generators."""
     reps = []
-    for group in groups.values():
-        if len(group) == 1:
-            reps.append(group[0])
-            continue
-        seen = set()
-        for s in group:
-            key = _marked_key(n, edges, s)
-            if key not in seen:
-                seen.add(key)
-                reps.append(s)
-    reps.sort()
+    seen: set = set()
+    for s in candidates:
+        if s not in seen:
+            reps.append(s)
+            seen |= _orbit(s, generators)
     return reps
 
 
-def _is_canonical_addition(n: int, edges: tuple, added: tuple) -> bool:
-    """Does `added` lie in the canonical-deletion orbit of this graph?"""
+def _is_canonical_addition(n: int, edges: tuple, added: tuple) -> Optional[Scan]:
+    """The graph's scan if `added` lies in its canonical-deletion orbit,
+    else None."""
     profiles = _vertex_profiles(n, edges)
     inv_added = _set_invariant(profiles, added)
     tied = []
     for e in edges:
         inv = _set_invariant(profiles, e)
         if inv < inv_added:
-            return False
+            return None
         if inv == inv_added:
             tied.append(e)
-    if len(tied) == 1:
-        return True
-    key_added = _marked_key(n, edges, added)
-    return all(key_added <= _marked_key(n, edges, e)
-               for e in tied if e != added)
+    scan = refinement_scan(n, edges)
+    if len(tied) > 1:
+        perm = scan.perm
+        least = min(tied, key=lambda e: sorted(perm[v] for v in e))
+        if added not in _orbit(least, scan.generators):
+            return None
+    return scan
 
 
 def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
@@ -103,19 +104,20 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
     s = _Searcher(n, config)
     universe = s.edges
 
-    def visit(mask: int, edges: tuple) -> Iterator[Hypergraph]:
+    def visit(mask: int, edges: tuple, scan: Scan) -> Iterator[Hypergraph]:
         yield Hypergraph(n, s.r, edges)
         present = set(edges)
         candidates = [e for e in universe if e not in present]
-        for e in _orbit_representatives(n, edges, candidates):
+        for e in _orbit_representatives(candidates, scan.generators):
             child_mask = mask | (1 << s.index[e])
             if not s.is_feasible(child_mask):
                 continue
             child_edges = tuple(sorted(edges + (e,)))
-            if _is_canonical_addition(n, child_edges, e):
-                yield from visit(child_mask, child_edges)
+            child_scan = _is_canonical_addition(n, child_edges, e)
+            if child_scan is not None:
+                yield from visit(child_mask, child_edges, child_scan)
 
-    yield from visit(0, ())
+    yield from visit(0, (), refinement_scan(n, ()))
 
 
 def count_free(n: int, config: ForbiddenConfig) -> int:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
@@ -45,6 +46,10 @@ from .matching import _embeddings
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 _DEFAULT_CACHE_DIR = ".turankit-cache"
+# Stored in every cache record; bump it whenever a solver change can alter
+# a stored value, so that records written before the change are misses.
+# Format 2: isolated vertices of F take part in disjointness.
+_FORMAT = 2
 
 
 def _node_limit(override: Optional[int]) -> int:
@@ -334,8 +339,11 @@ def _cache_path(n, config, cache_dir) -> str:
 
 
 def _store(record: TuranRecord, path: str) -> None:
+    """Write the record to a temporary file beside `path`, then move it
+    into place, so an interrupted write never replaces a good record."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     doc = {
+        "format": _FORMAT,
         "n": record.n, "r": record.r, "config_hash": record.config_hash,
         "status": record.status, "value": record.value, "upper": record.upper,
         "extremal": [[list(e) for e in g.edges] for g in record.extremal],
@@ -343,19 +351,27 @@ def _store(record: TuranRecord, path: str) -> None:
         "nodes": record.nodes, "elapsed_ms": record.elapsed_ms,
         "seeded_lower": record.seeded_lower,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
-    """Reload a cached record, re-validating every stored extremal graph
-    against the constraint before trusting it."""
+    """Reload a cached record of the current format, re-validating every
+    stored extremal graph against the constraint before trusting it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
     try:
+        if doc["format"] != _FORMAT:
+            return None
         if doc["status"] != "exact" or doc["n"] != n or doc["r"] != config.r:
             return None
         if doc["config_hash"] != config.hash_hex():

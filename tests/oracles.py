@@ -4,17 +4,20 @@ Everything here is deliberately naive (factorial/exponential) and written
 without reusing the package's search code, so the two sides can
 cross-check each other.  The copy-enumerator references share only the
 package's static pattern order, so that their output order can be
-compared exactly.  Budgets: n <= 7 for relabeling scans, small edge
-counts for packing enumeration.
+compared exactly; the generation reference shares the package's
+feasibility check and vertex-profile invariant.  Budgets: n <= 7 for
+relabeling scans, small edge counts for packing enumeration.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from turankit.core import Hypergraph
+from turankit.genfree import _set_invariant, _vertex_profiles
 from turankit.matching import _edge_checks, _pattern_order
+from turankit.solver import _Searcher
 
 
 # -- tiny independent constructors (used to cross-check zoo) -----------
@@ -58,12 +61,36 @@ def relabel(g: Hypergraph, perm) -> Hypergraph:
 def min_relabeling(g: Hypergraph) -> tuple:
     """Lexicographically least edge list over all n! relabelings (n <= 7)."""
     assert g.n <= 7, "factorial scan budget"
+    return _least_relabeling(g.edges, permutations(range(g.n)))
+
+
+def _least_relabeling(edges, orders) -> tuple:
+    """Least relabeled edge list over the labelings that list the vertices
+    in one of the given orders (label i goes to the order's i-th vertex)."""
     best = None
-    for perm in permutations(range(g.n)):
-        edges = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in g.edges))
-        if best is None or edges < best:
-            best = edges
+    for order in orders:
+        perm = [0] * len(order)
+        for label, v in enumerate(order):
+            perm[v] = label
+        relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+        if best is None or relabeled < best:
+            best = relabeled
     return best
+
+
+def degree_sorted_relabeling(g: Hypergraph) -> tuple:
+    """Least relabeled edge list over the relabelings that give vertices of
+    larger degree smaller labels.  Isomorphic graphs have the same set of
+    such relabeled edge lists, so this is a complete invariant, like
+    `min_relabeling`, at a fraction of the n! scan."""
+    deg = [0] * g.n
+    for e in g.edges:
+        for v in e:
+            deg[v] += 1
+    groups = [[v for v in range(g.n) if deg[v] == d]
+              for d in sorted(set(deg), reverse=True)]
+    orders = (sum(parts, ()) for parts in product(*map(permutations, groups)))
+    return _least_relabeling(g.edges, orders)
 
 
 def brute_isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
@@ -218,11 +245,88 @@ def reference_solver_copies(f: Hypergraph, n: int) -> list[tuple[int, int]]:
     return sorted(out.items(), key=lambda c: [i for i in range(len(index)) if c[0] >> i & 1])
 
 
+def group_order(n: int, generators) -> int:
+    """Order of the permutation group on range(n) that the generators
+    generate, by closing the identity under them."""
+    identity = tuple(range(n))
+    group = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for g in generators:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return len(group)
+
+
 def automorphism_count(f: Hypergraph) -> int:
     """|Aut(f)| by scanning all v! relabelings."""
     own = set(f.edges)
     return sum(all(tuple(sorted(p[v] for v in e)) in own for e in f.edges)
                for p in permutations(range(f.n)))
+
+
+# -- isomorph-free generation before the phase-1 scan ---------------------
+
+
+def marked_min_relabeling(n: int, edges, mark: tuple) -> tuple:
+    """Least relabeled edge list over the relabelings that give the vertices
+    of `mark` the smallest labels: the canonical form of the graph with
+    `mark` as its first colour class, by brute force."""
+    rest = tuple(v for v in range(n) if v not in mark)
+    orders = (head + tail for head in permutations(mark)
+              for tail in permutations(rest))
+    return _least_relabeling(edges, orders)
+
+
+def reference_free_graphs(n: int, config):
+    """`genfree.free_graphs` before the phase-1 scan: canonical augmentation
+    whose orbit tests compare marked lex-min canonical forms, one per tied
+    candidate r-set on the parent side and one per tied edge on the child
+    side."""
+    s = _Searcher(n, config)
+
+    def orbit_representatives(edges, candidates):
+        profiles = _vertex_profiles(n, edges)
+        groups: dict = {}
+        for c in candidates:
+            groups.setdefault(_set_invariant(profiles, c), []).append(c)
+        reps = []
+        for group in groups.values():
+            seen = set()
+            for c in group:
+                key = marked_min_relabeling(n, edges, c) if len(group) > 1 else ()
+                if key not in seen:
+                    seen.add(key)
+                    reps.append(c)
+        return sorted(reps)
+
+    def is_canonical_addition(edges, added):
+        profiles = _vertex_profiles(n, edges)
+        invs = [_set_invariant(profiles, e) for e in edges]
+        inv_added = _set_invariant(profiles, added)
+        if min(invs) < inv_added:
+            return False
+        tied = [e for e, inv in zip(edges, invs) if inv == inv_added]
+        key_added = marked_min_relabeling(n, edges, added)
+        return all(key_added <= marked_min_relabeling(n, edges, e)
+                   for e in tied if e != added)
+
+    def visit(mask, edges):
+        yield Hypergraph(n, s.r, edges)
+        present = set(edges)
+        candidates = [e for e in s.edges if e not in present]
+        for e in orbit_representatives(edges, candidates):
+            child_mask = mask | (1 << s.index[e])
+            if not s.is_feasible(child_mask):
+                continue
+            child_edges = tuple(sorted(edges + (e,)))
+            if is_canonical_addition(child_edges, e):
+                yield from visit(child_mask, child_edges)
+
+    yield from visit(0, ())
 
 
 # -- small exact extremal numbers ---------------------------------------

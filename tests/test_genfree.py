@@ -2,12 +2,21 @@
 
 The independent recount oracle below shares no code with the engine: it
 grows graphs breadth-first and deduplicates classes by brute-force
-minimum relabeling, with feasibility from the exhaustive config check.
+least relabeling over the degree-sorting relabelings, with feasibility
+from the exhaustive config check.  The differential test compares the
+engine with its marked-canonical-form predecessor.
 """
 
 from itertools import combinations
 
-from oracles import brute_has_config, min_relabeling
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import (
+    brute_has_config,
+    degree_sorted_relabeling,
+    min_relabeling,
+    reference_free_graphs,
+)
 
 from turankit.core import Hypergraph, canonical_form, complete
 from turankit.genfree import count_free, free_graphs
@@ -24,7 +33,8 @@ TRIANGLE_FREE_COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410}
 
 
 def bfs_recount_classes(n, r, families):
-    """One minimum-relabeling representative per feasible class."""
+    """One degree-sorted least-relabeling representative per feasible
+    class."""
     universe = list(combinations(range(n), r))
     level = {()}
     seen = {()}
@@ -38,7 +48,7 @@ def bfs_recount_classes(n, r, families):
                 h = Hypergraph(n, r, tuple(sorted(edges + (e,))))
                 if brute_has_config(h, families):
                     continue
-                nxt.add(min_relabeling(h))
+                nxt.add(degree_sorted_relabeling(h))
         level = nxt - seen
         seen |= nxt
     return seen
@@ -54,12 +64,16 @@ def test_triangle_free_count_eight():
     assert count_free(8, config_of([(K3, 1)])) == TRIANGLE_FREE_COUNTS[8]
 
 
+def test_triangle_free_count_nine():
+    assert count_free(9, config_of([(K3, 1)])) == 1897  # OEIS A006785
+
+
 def test_recount_matches_oracle_class_sets():
     # full dual-route check: same classes, not merely the same count
     for families in (((K3, 1),), ((K4, 1),), ((EDGE2, 2),)):
         for n in (4, 5, 6):
             oracle = bfs_recount_classes(n, 2, families)
-            engine = {min_relabeling(g)
+            engine = {degree_sorted_relabeling(g)
                       for g in free_graphs(n, config_of(list(families)))}
             assert engine == oracle
 
@@ -68,6 +82,51 @@ def test_recount_n7():
     oracle = bfs_recount_classes(7, 2, ((K3, 1),))
     assert len(oracle) == 107
     assert count_free(7, config_of([(K3, 1)])) == len(oracle)
+
+
+def test_degree_sorted_relabeling_matches_min_relabeling():
+    # the recount's class key splits every graph with n <= 5 exactly as
+    # the full n! minimum does
+    for r in (2, 3):
+        for n in range(6):
+            universe = list(combinations(range(n), r))
+            pairs = set()
+            for bits in range(1 << len(universe)):
+                g = Hypergraph(n, r, tuple(e for i, e in enumerate(universe)
+                                           if bits >> i & 1))
+                pairs.add((degree_sorted_relabeling(g), min_relabeling(g)))
+            assert len({a for a, _ in pairs}) == len({b for _, b in pairs}) == len(pairs)
+
+
+@st.composite
+def small_configs(draw):
+    """A forbidden configuration that fits on n vertices, so it bites."""
+    r = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(r, 6))
+    families = []
+    room = n
+    for _ in range(draw(st.integers(1, 2))):
+        if room < r:
+            break
+        v = draw(st.integers(r, min(room, 5)))
+        t = draw(st.integers(1, min(2, room // v)))
+        room -= t * v
+        pool = list(combinations(range(v), r))
+        edges = draw(st.lists(st.sampled_from(pool), min_size=1,
+                              max_size=min(4, len(pool)), unique=True))
+        families.append((Hypergraph(v, r, tuple(edges)), t))
+    return n, config_of(families)
+
+
+@settings(max_examples=30)  # the reference takes up to 4 s per draw
+@given(small_configs())
+@example((6, config_of([(complete(4, 3), 1)])))  # 964 classes
+def test_matches_marked_form_reference(case):
+    n, cfg = case
+    engine = [canonical_form(g).edges for g in free_graphs(n, cfg)]
+    reference = [canonical_form(g).edges for g in reference_free_graphs(n, cfg)]
+    assert len(set(engine)) == len(engine)
+    assert set(engine) == set(reference)
 
 
 def test_output_is_isomorph_free_and_feasible():

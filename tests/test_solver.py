@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from oracles import brute_has_config, brute_max_feasible, relabel, turan_graph
 from turankit.core import Hypergraph, are_isomorphic, complete, join
 from turankit.errors import BudgetExceededError
+from turankit import solver
 from turankit.solver import (
     ForbiddenConfig, TuranRecord, TuranTable, _solve, config_of,
     enumerate_extremal, ex_table, max_edges, pi_upper,
@@ -194,6 +195,48 @@ def test_cache_rejects_tampered_records(cache):
         json.dump(doc, fh)
     again = max_edges(6, cfg, cache_dir=cache)
     assert again.value == rec.value == 9
+
+
+def test_cache_recomputes_records_of_other_formats(cache):
+    cfg = config_of([(K3_ISO, 2)])
+    assert max_edges(6, cfg, cache_dir=cache).value == 15
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path) as fh:
+        doc = json.load(fh)
+    # the record the solver wrote before isolated vertices took part in
+    # disjointness: value 12, and its 12-edge graph still revalidates
+    del doc["format"]
+    doc["value"] = doc["upper"] = 12
+    doc["extremal"] = [[list(e) for e in complete(6, 2).edges[3:]]]
+    doc["extremal_complete"] = False
+    for version in (None, solver._FORMAT - 1):
+        if version is not None:
+            doc["format"] = version
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert max_edges(6, cfg, cache_dir=cache).value == 15
+
+
+def test_interrupted_cache_write_keeps_previous_record(cache, monkeypatch):
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    name = os.listdir(cache)[0]
+    path = os.path.join(cache, name)
+    with open(path) as fh:
+        before = fh.read()
+
+    def dump_then_fail(doc, fh):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(solver.json, "dump", dump_then_fail)
+    with pytest.raises(OSError):
+        solver._store(rec, path)
+    monkeypatch.undo()
+    with open(path) as fh:
+        assert fh.read() == before
+    assert os.listdir(cache) == [name]
+    assert max_edges(6, cfg, cache_dir=cache) == rec
 
 
 def test_cache_env_var(cache, monkeypatch):
