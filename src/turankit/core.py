@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from .canon import canonical_labeling
@@ -301,10 +300,3 @@ def load_hg(path) -> Hypergraph:
 def dump_hg(g: Hypergraph, path, comment: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_hg(g, comment))
-
-
-def binom(n: int, k: int) -> int:
-    """C(n, k), zero outside the valid range (n may be any integer >= 0)."""
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)

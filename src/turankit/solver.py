@@ -16,15 +16,22 @@ frozen sets span different feasible families).
 Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
 pairwise disjoint on non-frozen edges force p distinct deletions, giving
-the bound count − p.  Copies of each family inside the complete host are
-precomputed once, from `matching._embeddings`, as (edge bitmask, vertex
-bitmask) pairs, so per-node feasibility checks are pure integer
-operations.  A copy's vertex mask is the image of all v(F) vertices, so
-isolated vertices of F take part in disjointness.
+the bound count − p.  Copies of each family inside the host are
+precomputed once, from `matching._embeddings`, and numbered in one bit
+space, so that sets of copies are integers.  Per edge the table holds
+the copies that use it, per copy the copies that share a vertex with it;
+a copy's vertices are the image of all v(F) vertices, so isolated
+vertices of F take part in disjointness.  Each search node carries its
+alive set, the copies inside its graph: a child that deletes edge e
+takes the parent's set minus e's copies.  A realization is then found
+by lowest-bit scans over the alive set, each chosen copy striking out
+its vertex conflicts (bit-parallel candidate sets, as in San Segundo,
+Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
 
 Searches are deterministic: realizations are found lexicographically
 (families in normalized order, copies in sorted edge order, same-family
-copies nondecreasing), so values, witnesses, and node counts reproduce.
+copies strictly increasing), so values, witnesses, and node counts
+reproduce.
 """
 
 from __future__ import annotations
@@ -50,6 +57,29 @@ _DEFAULT_CACHE_DIR = ".turankit-cache"
 # a stored value, so that records written before the change are misses.
 # Format 2: isolated vertices of F take part in disjointness.
 _FORMAT = 2
+# Size budgets, checked before the tables they bound are allocated: the
+# copy tables take (C(n, r) + copies) x copies bits.  The largest universe
+# any test, acceptance criterion or benchmark workload builds is
+# C(17, 2) = 136 edges; the most copies, 20160, an asymmetric 6-vertex
+# pattern in K8 that a matching test can draw (Fano at n = 10 has 3600).
+_MAX_EDGES = 1000
+_MAX_COPIES = 30_000
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(table, mask: int) -> int:
+    """Bitwise or of table[i] over the set bits i of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= table[i]
+    return out
 
 
 def _node_limit(override: Optional[int]) -> int:
@@ -131,70 +161,97 @@ class TuranRecord:
 
 class _Searcher:
     """Shared machinery for one (config, n) instance: the lex-ordered
-    edge universe, per-family copy tables, and the freezing search."""
+    edge universe, per-family copy tables, and the freezing search.  The
+    universe is every r-set, or the edge set `host` when one is given."""
 
-    def __init__(self, n: int, config: ForbiddenConfig):
+    def __init__(self, n: int, config: ForbiddenConfig, host=None):
         self.n = n
         self.config = config
         self.r = config.r
-        self.edges = list(combinations(range(n), self.r))
+        if comb(n, self.r) > _MAX_EDGES:
+            raise BudgetExceededError(f"C({n}, {self.r}) edges exceed the "
+                                      f"budget of {_MAX_EDGES}")
+        self.edges = (list(combinations(range(n), self.r)) if host is None
+                      else sorted(host))
         self.index = {e: i for i, e in enumerate(self.edges)}
         self.full = (1 << len(self.edges)) - 1
         self.fams = []  # (copies, demand); copy = (edge mask, vertex mask)
         for f, t in config.families:
             self.fams.append((self._copies(f), t))
+        # One bit space over the copies of all families, in family order:
+        # spans[i] = (family i's bits, demand), kill[e] = the copies using
+        # edge e, conf[c] = the copies sharing a vertex with copy c.
+        flat = [copy for copies, _ in self.fams for copy in copies]
+        self.copy_edges = [em for em, _ in flat]
+        self.spans, c = [], 0
+        for copies, t in self.fams:
+            self.spans.append(((1 << c + len(copies)) - (1 << c), t))
+            c += len(copies)
+        self.kill, vcop = [0] * len(self.edges), [0] * n
+        for c, (em, vm) in enumerate(flat):
+            for e in _bits(em):
+                self.kill[e] |= 1 << c
+            for v in _bits(vm):
+                vcop[v] |= 1 << c
+        self.conf = [_union(vcop, vm) for _, vm in flat]
+        self.used = sum(1 << e for e, k in enumerate(self.kill) if k)
         self.nodes = 0
         self.limit_hit = False
         self.skipped_upper = -1
 
     def _copies(self, f: Hypergraph):
-        """Every copy of f inside the complete host, one (edge mask,
-        vertex mask) each, sorted by edge bits then vertex mask for
-        determinism.  The vertex mask is the image of all v(f) vertices,
-        isolated ones included."""
+        """Every copy of f inside the host, one (edge mask, vertex mask)
+        each, sorted by edge bits then vertex mask for determinism.  The
+        vertex mask is the image of all v(f) vertices, isolated ones
+        included."""
         copies = set()
         for mapping in _embeddings(f, self.n, self.index):
             # distinct edges and vertices of f have distinct images
             emask = sum(1 << self.index[tuple(sorted(mapping[v] for v in e))]
                         for e in f.edges)
             copies.add((emask, sum(1 << w for w in mapping)))
-        return sorted(copies, key=lambda c: (self._emask_key(c[0]), c[1]))
+            if len(copies) > _MAX_COPIES:
+                raise BudgetExceededError(
+                    f"more than {_MAX_COPIES} copies of a forbidden family")
+        return sorted(copies, key=lambda c: (list(_bits(c[0])), c[1]))
 
-    def _emask_key(self, emask: int):
-        key = []
-        while emask:
-            low = emask & -emask
-            key.append(low.bit_length() - 1)
-            emask ^= low
-        return key
+    def alive_in(self, w: int) -> int:
+        """The copies inside edge set w, as a bitset over copy indices."""
+        missing = self.used & ~w  # only edges of some copy matter
+        return (1 << len(self.copy_edges)) - 1 & ~_union(self.kill, missing)
 
-    def find_realization(self, w: int) -> Optional[int]:
+    def find_realization(self, w: int, alive: Optional[int] = None
+                         ) -> Optional[int]:
         """Edge mask of the lexicographically least violating realization
-        inside edge set w, or None if w is feasible."""
-        fams = self.fams
-        chosen_mask = 0
+        inside edge set w, or None if w is feasible.  `alive`, when given,
+        must equal `alive_in(w)`; the search keeps it incrementally."""
+        if alive is None:
+            alive = self.alive_in(w)
+        spans, conf, copy_edges = self.spans, self.conf, self.copy_edges
+        last = len(spans) - 1
 
-        def go(fi: int, need: int, start: int, used_v: int, acc: int):
-            nonlocal chosen_mask
-            if need == 0:
-                fi += 1
-                if fi == len(fams):
-                    chosen_mask = acc
-                    return True
-                return go(fi, fams[fi][1], 0, used_v, acc)
-            copies = fams[fi][0]
-            for ci in range(start, len(copies)):
-                em, vm = copies[ci]
-                if em & ~w == 0 and vm & used_v == 0:
-                    if go(fi, need - 1, ci + 1, used_v | vm, acc | em):
-                        return True
-            return False
-
-        if not fams:
+        def go(fi: int, need: int, avail: int) -> Optional[int]:
+            # the least copy of family fi left in avail, then the rest;
+            # avail already excludes every copy meeting a chosen one
+            cand = avail & spans[fi][0]
+            left = cand.bit_count()
+            while left >= need:
+                low = cand & -cand
+                c = low.bit_length() - 1
+                rest = avail & -(low << 1) & ~conf[c]
+                if need > 1:
+                    got = go(fi, need - 1, rest)
+                elif fi < last:
+                    got = go(fi + 1, spans[fi + 1][1], rest)
+                else:
+                    got = 0
+                if got is not None:
+                    return got | copy_edges[c]
+                cand ^= low
+                left -= 1
             return None
-        if go(0, fams[0][1], 0, 0, 0):
-            return chosen_mask
-        return None
+
+        return go(0, spans[0][1], alive)
 
     def is_feasible(self, mask: int) -> bool:
         return self.find_realization(mask) is None
@@ -206,12 +263,8 @@ class _Searcher:
         return mask
 
     def graph_of(self, mask: int) -> Hypergraph:
-        es = []
-        while mask:
-            low = mask & -mask
-            es.append(self.edges[low.bit_length() - 1])
-            mask ^= low
-        return Hypergraph(self.n, self.r, tuple(es))
+        return Hypergraph(self.n, self.r,
+                          tuple(self.edges[e] for e in _bits(mask)))
 
     def run(self, best: int, node_limit: int, enumerate_all: bool):
         """Explore the freezing partition tree.  Value mode: returns
@@ -221,7 +274,7 @@ class _Searcher:
         best_mask = [None]
         best_box = [best]
 
-        def search(g: int, frozen: int, cnt: int):
+        def search(g: int, frozen: int, cnt: int, alive: int):
             self.nodes += 1
             if self.nodes > node_limit:
                 self.limit_hit = True
@@ -233,11 +286,11 @@ class _Searcher:
                     return
             elif cnt <= best_box[0]:
                 return
-            w = g
+            w, a = g, alive  # g after the packing's deletions
             first = None
             p = 0
             while True:
-                real = self.find_realization(w)
+                real = self.find_realization(w, a)
                 if real is None:
                     break
                 nonfrozen = real & ~frozen
@@ -252,6 +305,7 @@ class _Searcher:
                 elif cnt - p <= best_box[0]:
                     return
                 w &= ~nonfrozen
+                a &= ~_union(self.kill, nonfrozen)
             if first is None:
                 if enumerate_all:
                     found.add(canonical_form(self.graph_of(g)).graph())
@@ -262,12 +316,13 @@ class _Searcher:
             newly = 0
             while first:
                 low = first & -first
-                search(g & ~low, frozen | newly, cnt - 1)
+                search(g & ~low, frozen | newly, cnt - 1,
+                       alive & ~self.kill[low.bit_length() - 1])
                 newly |= low
                 first ^= low
             return
 
-        search(self.full, 0, len(self.edges))
+        search(self.full, 0, len(self.edges), self.alive_in(self.full))
         if enumerate_all:
             return found
         return best_box[0], best_mask[0]
@@ -379,11 +434,11 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         graphs = tuple(Hypergraph(n, config.r,
                                   tuple(tuple(e) for e in edges))
                        for edges in doc["extremal"])
-        s = _Searcher(n, config)
         for g in graphs:
             if g.edge_count != doc["value"]:
                 return None
-            if not s.is_feasible(s.mask_of(g)):
+            s = _Searcher(n, config, g.edges)
+            if not s.is_feasible(s.full):
                 return None
         return TuranRecord(n, config.r, doc["config_hash"], "exact",
                            doc["value"], doc["upper"], graphs,

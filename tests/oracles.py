@@ -268,6 +268,35 @@ def automorphism_count(f: Hypergraph) -> int:
                for p in permutations(range(f.n)))
 
 
+# -- the solver's realization walk before the copy bitsets -----------------
+
+
+def reference_find_realization(searcher, w: int):
+    """`solver._Searcher.find_realization` before the bit-parallel kernel:
+    a copy-by-copy walk over `searcher.fams` (families in order, copies
+    in table order, same-family copies strictly increasing, vertex masks
+    pairwise disjoint) returning the edge mask of the first realization
+    inside edge set w, or None."""
+    fams = searcher.fams
+
+    def go(fi, need, start, used_v, acc):
+        if need == 0:
+            fi += 1
+            if fi == len(fams):
+                return acc
+            return go(fi, fams[fi][1], 0, used_v, acc)
+        copies = fams[fi][0]
+        for ci in range(start, len(copies)):
+            em, vm = copies[ci]
+            if em & ~w == 0 and vm & used_v == 0:
+                got = go(fi, need - 1, ci + 1, used_v | vm, acc | em)
+                if got is not None:
+                    return got
+        return None
+
+    return go(0, fams[0][1], 0, 0, 0)
+
+
 # -- isomorph-free generation before the phase-1 scan ---------------------
 
 

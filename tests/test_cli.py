@@ -208,6 +208,15 @@ def test_node_limit_gives_bounds_exit(files, capsys, monkeypatch, tmp_path):
     assert text.startswith("bounds:")
 
 
+def test_size_budget_exit(capsys, tmp_path):
+    # C(200, 5) five-sets: refused before any table is built
+    path = str(tmp_path / "edge5.hg")
+    dump_hg(Hypergraph(5, 5, ((0, 1, 2, 3, 4),)), path)
+    code, _, err = invoke(["ex", "--n", "200", "--family", path + ":1"],
+                          capsys)
+    assert code == 3 and "budget" in err
+
+
 def test_extremal_writes_files(files, capsys, tmp_path):
     out = str(tmp_path / "ex5")
     code, _, _ = invoke(

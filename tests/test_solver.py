@@ -4,16 +4,21 @@ small Turán numbers, extremal enumeration, seeding, caching, bounds."""
 import json
 import os
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import brute_has_config, brute_max_feasible, relabel, turan_graph
+from oracles import (
+    brute_has_config, brute_max_feasible, reference_find_realization,
+    relabel, turan_graph,
+)
 from turankit.core import Hypergraph, are_isomorphic, complete, join
 from turankit.errors import BudgetExceededError
 from turankit import solver
 from turankit.solver import (
-    ForbiddenConfig, TuranRecord, TuranTable, _solve, config_of,
+    ForbiddenConfig, TuranRecord, TuranTable, _Searcher, _solve, config_of,
     enumerate_extremal, ex_table, max_edges, pi_upper,
 )
 from turankit.zoo import bipartite3, fano, turan
@@ -239,6 +244,55 @@ def test_interrupted_cache_write_keeps_previous_record(cache, monkeypatch):
     assert max_edges(6, cfg, cache_dir=cache) == rec
 
 
+def test_cache_round_trip_at_seventeen(cache, monkeypatch):
+    # revalidation runs the solver's own kernel on the stored graph, so a
+    # host above the matching engine's 16-vertex limit reloads as well
+    cfg = config_of([(EDGE2, 2)])
+    first = max_edges(17, cfg, cache_dir=cache)
+    assert first.value == 16  # Erdős–Gallai: max(C(3,2), C(17,2) - C(16,2))
+
+    def no_search(*args):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(solver, "_solve", no_search)
+    assert max_edges(17, cfg, cache_dir=cache) == first
+
+
+def test_cache_recomputes_graphs_with_forbidden_copies(cache):
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path) as fh:
+        doc = json.load(fh)
+    # the right edge count, but vertices 0, 1, 2 span a triangle
+    bad = complete(6, 2).edges[:rec.value]
+    assert brute_has_config(Hypergraph(6, 2, bad), cfg.families)
+    doc["extremal"] = [[list(e) for e in bad]]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    again = max_edges(6, cfg, cache_dir=cache)
+    assert again.value == 9 and again.extremal == rec.extremal
+    assert not brute_has_config(again.extremal[0], cfg.families)
+
+
+def test_size_budget(cache, monkeypatch):
+    # the fixed budgets clear the largest instances the suite builds
+    assert comb(17, 2) <= solver._MAX_EDGES and 20160 <= solver._MAX_COPIES
+    monkeypatch.setattr(solver, "_MAX_EDGES", 10)
+    _Searcher(5, config_of([(K3, 1)]))        # C(5, 2) = 10 edges
+    _Searcher(5, config_of([(EDGE3, 1)]))     # C(5, 3) = 10
+    for n, f in ((6, K3), (6, EDGE3), (11, EDGE2)):
+        with pytest.raises(BudgetExceededError):
+            _Searcher(n, config_of([(f, 1)]))
+    with pytest.raises(BudgetExceededError):
+        max_edges(6, config_of([(K3, 1)]), cache_dir=cache)
+    monkeypatch.setattr(solver, "_MAX_EDGES", 1000)
+    monkeypatch.setattr(solver, "_MAX_COPIES", 20)
+    _Searcher(6, config_of([(K3, 1)]))        # C(6, 3) = 20 triangles
+    with pytest.raises(BudgetExceededError):
+        _Searcher(7, config_of([(K3, 1)]))    # 35
+
+
 def test_cache_env_var(cache, monkeypatch):
     monkeypatch.setenv("TURANKIT_CACHE", cache)
     max_edges(5, config_of([(K3, 1)]))
@@ -299,6 +353,8 @@ def test_unrealizable_config_gives_complete_graph(cache):
     (8, ((fano(), 1),), 48, 981),
     (10, ((K3, 1),), 25, 12644),
     (9, ((EDGE2, 3),), 15, 634),
+    (8, ((K3, 1), (K4, 1)), 22, 4645),
+    (9, ((K3, 1), (K3_ISO, 1)), 24, 41332),
 ])
 def test_pinned_node_counts(n, families, value, nodes):
     rec = _solve(n, config_of(families), None, False, None)
@@ -310,3 +366,45 @@ def test_pinned_enumeration_node_count():
     assert rec.nodes == 110860  # both passes
     assert len(rec.extremal) == 1
     assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
+
+
+@st.composite
+def configs_with_edge_sets(draw):
+    """One or two families (r in {2, 3}, at most r + 2 vertices each,
+    isolated vertices allowed, demands at most 2), a host size n <= 8
+    around the vertices a realization needs, and edge sets on it of
+    densities from sparse to complete."""
+    r = draw(st.sampled_from([2, 3]))
+    families = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.integers(r, r + 2))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(v), r))),
+                              min_size=1, max_size=4, unique=True))
+        families.append((Hypergraph(v, r, tuple(edges)), draw(st.integers(1, 2))))
+    need = sum(f.n * t for f, t in families)
+    n = draw(st.integers(max(r, min(need, 8) - 1), 8))
+    rnd = draw(st.randoms(use_true_random=False))
+    ws = [sum(1 << i for i in range(comb(n, r)) if rnd.random() < p)
+          for p in (0.5, 0.75, 0.9, 0.95, 1.0)]
+    return n, tuple(families), ws
+
+
+@settings(max_examples=150)
+@given(configs_with_edge_sets())
+@example((7, ((K3, 1), (K3_ISO, 1)), [(1 << 21) - 1 - (1 << k) for k in range(21)]))
+@example((8, ((EDGE2, 2), (K3, 1)), [(1 << 28) - 1, 0b111 << 10 | 0b111]))
+def test_kernel_matches_reference_walk(case):
+    n, families, ws = case
+    s = _Searcher(n, ForbiddenConfig(families))
+    for w in ws:
+        assert s.find_realization(w) == reference_find_realization(s, w)
+    # a short search: the alive sets it carries down the tree and through
+    # the packing loop are the ones built from scratch
+    kernel = s.find_realization
+
+    def checked(w, alive=None):
+        assert alive == s.alive_in(w)
+        return kernel(w, alive)
+
+    s.find_realization = checked
+    s.run(-1, 80, False)
