@@ -180,7 +180,8 @@ class _Searcher:
             self.fams.append((self._copies(f), t))
         # One bit space over the copies of all families, in family order:
         # spans[i] = (family i's bits, demand), kill[e] = the copies using
-        # edge e, conf[c] = the copies sharing a vertex with copy c.
+        # edge e, conf[c] = the copies sharing a vertex with copy c (of
+        # any family), used = the edges some copy uses.
         flat = [copy for copies, _ in self.fams for copy in copies]
         self.copy_edges = [em for em, _ in flat]
         self.spans, c = [], 0
@@ -217,7 +218,7 @@ class _Searcher:
 
     def alive_in(self, w: int) -> int:
         """The copies inside edge set w, as a bitset over copy indices."""
-        missing = self.used & ~w  # only edges of some copy matter
+        missing = self.used & ~w
         return (1 << len(self.copy_edges)) - 1 & ~_union(self.kill, missing)
 
     def find_realization(self, w: int, alive: Optional[int] = None
