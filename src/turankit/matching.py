@@ -9,14 +9,15 @@ enumerator (the solver's copy tables read it too), yields each copy's
 lex-least embedding, in lex order.  Packings only care about vertex
 sets, so `_copies` keeps the first embedding per vertex set.
 
-The packing searches answer monotone decision questions ("is there a
-packing of size s?", "can every family's demand be met?") with a shared
-memo keyed on (available-vertex bitmask, outstanding demands).  Branching
-picks the smallest vertex of the lexicographically least available copy
-of the first unsatisfied family and splits into "some copy through that
-vertex is used" versus "that vertex is unused" — a complete case split.
-Exact values come from asking s = 1, 2, ... until the answer flips, which
-keeps capped queries from ever poisoning the memo with truncated values.
+One kernel, `_pack`, finds every disjoint packing, the solver's
+realizations included: copies are numbered in one bit space, family by
+family, each with the bitset of the copies sharing a vertex with it.  It
+takes the lowest copy left, strikes out its conflicts, and backtracks, so
+the packing found is the least in family-major copy order.  The packings
+here add a failure memo on (family, demand left, copies left), which the
+solver's realizations run without; exact values come from asking
+s = 1, 2, ... with one memo until the answer flips.  A host is a family
+of its own in rainbow matchings.
 
 All searches are exact and deterministic; hosts are limited to n <= 16
 (vertex bitmasks, desk-scale fixtures).
@@ -215,48 +216,120 @@ def _normalize_families(config) -> list[tuple[Hypergraph, int, int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _pack(demands: tuple[int, ...], memo: dict,
-          copy_lists: list[list[tuple[int, tuple[int, ...], Embedding]]],
-          mask: int) -> Optional[list[tuple[int, int]]]:
-    """Copies (family position, copy position) meeting `demands` inside
-    `mask`, or None.  Memoized on (mask, demands)."""
-    if not any(demands):
-        return []
-    key = (mask, demands)
-    if key in memo:
-        return memo[key]
-    fam = next(i for i, d in enumerate(demands) if d > 0)
-    pivot_mask = next((cm for cm, _, _ in copy_lists[fam]
-                       if cm & mask == cm), 0)
-    result = None
-    if pivot_mask:
-        v_bit = pivot_mask & -pivot_mask
-        # some pending family uses the pivot vertex...
-        for gi, d in enumerate(demands):
-            if d == 0 or result is not None:
-                continue
-            for ci, (cm, _, _) in enumerate(copy_lists[gi]):
-                if cm & v_bit and cm & mask == cm:
-                    nxt = tuple(t - (1 if i == gi else 0)
-                                for i, t in enumerate(demands))
-                    sub = _pack(nxt, memo, copy_lists, mask & ~cm)
-                    if sub is not None:
-                        result = [(gi, ci)] + sub
-                        break
-        # ...or no pending family does
-        if result is None:
-            result = _pack(demands, memo, copy_lists, mask & ~v_bit)
-    memo[key] = result
-    return result
+def _bits(mask: int):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _witness(families, copy_lists, picks, host: int = 0) -> MatchingWitness:
-    entries = []
-    for gi, ci in picks:
-        _, verts, emb = copy_lists[gi][ci]
-        entries.append(WitnessEntry(host, families[gi][2], verts, emb))
-    entries.sort(key=lambda e: (e.family, e.vertices))
-    return MatchingWitness(tuple(entries))
+def _union(table, mask: int) -> int:
+    """Bitwise or of table[i] over the set bits i of mask."""
+    out = 0
+    for i in _bits(mask):
+        out |= table[i]
+    return out
+
+
+def _conflicts(vertex_masks: Sequence[int], n: int) -> list[int]:
+    """conf[c] = the copies sharing a vertex with copy c, c included, for
+    copies numbered by their position in vertex_masks."""
+    vcop = [0] * n
+    for c, vm in enumerate(vertex_masks):
+        for v in _bits(vm):
+            vcop[v] |= 1 << c
+    return [_union(vcop, vm) for vm in vertex_masks]
+
+
+def _spans(families) -> list[tuple[int, int]]:
+    """One bit space over the copies of (copies, demand) families, in
+    order: (the bits of family i's copies, its demand) for each i."""
+    spans, c = [], 0
+    for copies, t in families:
+        spans.append(((1 << c + len(copies)) - (1 << c), t))
+        c += len(copies)
+    return spans
+
+
+def _pack(spans, conf, marks, dead: Optional[set] = None):
+    """The packing search over one bit space, built once and then called
+    on copy bitsets avail: the lexicographically least packing inside
+    avail, or None.  A packing takes, for each family i in order,
+    spans[i][1] pairwise disjoint copies out of its bits spans[i][0],
+    strictly increasing and disjoint from every copy chosen before (conf,
+    from `_conflicts`); the search returns the bitwise or of marks[c] over
+    its copies c.  `dead`, when given, gathers the (family, demand left,
+    avail) triples that failed; they fail again, so the memo never changes
+    the packing found."""
+    last = len(spans) - 1
+
+    def go(avail: int, fi: int = 0, need: int = spans[0][1]) -> Optional[int]:
+        # the least copy of family fi left in avail, then the rest;
+        # avail already excludes every copy meeting a chosen one
+        cand = avail & spans[fi][0]
+        left = cand.bit_count()
+        while left >= need:
+            low = cand & -cand
+            c = low.bit_length() - 1
+            rest = avail & -(low << 1) & ~conf[c]
+            if need > 1:
+                got = step(rest, fi, need - 1)
+            elif fi < last:
+                got = step(rest, fi + 1, spans[fi + 1][1])
+            else:
+                got = 0
+            if got is not None:
+                return got | marks[c]
+            cand ^= low
+            left -= 1
+        return None
+
+    # recursion goes through step: go itself, or go behind the memo, so
+    # the solver, which passes no memo, pays nothing for it
+    step = go
+    if dead is not None:
+        def step(avail: int, fi: int = 0,
+                 need: int = spans[0][1]) -> Optional[int]:
+            key = (fi, need, avail)
+            if key in dead:
+                return None
+            got = go(avail, fi, need)
+            if got is None:
+                dead.add(key)
+            return got
+
+    return step
+
+
+def _pack_copies(tables, demands: Sequence[int], labels,
+                 dead: set) -> Optional[MatchingWitness]:
+    """Witness of the least packing of demands[i] copies from each
+    tables[i] (lists from `_copies`), all pairwise vertex-disjoint, or
+    None; labels[i] = the (host, family) of table i's entries.  None at
+    once when the demands need more vertices than the copies cover."""
+    if not tables:
+        return MatchingWitness(())
+    if not all(tables):
+        return None
+    flat = [(i, copy) for i, table in enumerate(tables) for copy in table]
+    masks = [vm for _, (vm, _, _) in flat]
+    covered = 0
+    for vm in masks:
+        covered |= vm
+    if sum(t * len(table[0][1]) for table, t in zip(tables, demands)) \
+            > covered.bit_count():
+        return None
+    search = _pack(_spans(zip(tables, demands)),
+                   _conflicts(masks, covered.bit_length()),
+                   [1 << c for c in range(len(flat))], dead)
+    chosen = search((1 << len(flat)) - 1)
+    if chosen is None:
+        return None
+    entries = (WitnessEntry(*labels[i], verts, emb)
+               for i, (_, verts, emb) in (flat[c] for c in _bits(chosen)))
+    return MatchingWitness(tuple(sorted(
+        entries, key=lambda e: (e.host, e.family, e.vertices))))
 
 
 def matching_number(f: Hypergraph, h: Hypergraph,
@@ -266,19 +339,15 @@ def matching_number(f: Hypergraph, h: Hypergraph,
     _check_budget(h)
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    copy_lists = [_copies(f, h)]
-    families = [(f, 0, 0)]
-    memo: dict = {}
-    full = (1 << h.n) - 1
-    value = 0
-    picks: list[tuple[int, int]] = []
-    while cap is None or value < cap:
-        attempt = _pack((value + 1,), memo, copy_lists, full)
+    tables = [_copies(f, h)]
+    dead: set = set()  # a failure stays one as the lone demand grows
+    witness = MatchingWitness(())
+    while cap is None or len(witness) < cap:
+        attempt = _pack_copies(tables, (len(witness) + 1,), [(0, 0)], dead)
         if attempt is None:
             break
-        value += 1
-        picks = attempt
-    return value, _witness(families, copy_lists, picks)
+        witness = attempt
+    return len(witness), witness
 
 
 def has_disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
@@ -288,12 +357,9 @@ def has_disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
     carry the original index of each family's first occurrence."""
     _check_budget(h)
     families = _normalize_families(config)
-    copy_lists = [_copies(f, h) for f, _, _ in families]
-    demands = tuple(t for _, t, _ in families)
-    picks = _pack(demands, {}, copy_lists, (1 << h.n) - 1)
-    if picks is None:
-        return None
-    return _witness(families, copy_lists, picks)
+    return _pack_copies([_copies(f, h) for f, _, _ in families],
+                        [t for _, t, _ in families],
+                        [(0, first) for _, _, first in families], set())
 
 
 def rainbow_matching(hosts: Sequence[Hypergraph],
@@ -308,28 +374,6 @@ def rainbow_matching(hosts: Sequence[Hypergraph],
     _check_budget(hosts[0])
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    if len(hosts) * f.n > n:
-        return None
-    copy_lists = [_copies(f, g) for g in hosts]
-    dead: set[tuple[int, int]] = set()
-    chosen: list[tuple[int, tuple[int, ...], Embedding]] = []
-
-    def place(i: int, used: int) -> bool:
-        if i == len(hosts):
-            return True
-        if (i, used) in dead:
-            return False
-        for cm, verts, emb in copy_lists[i]:
-            if cm & used == 0:
-                chosen.append((i, verts, emb))
-                if place(i + 1, used | cm):
-                    return True
-                chosen.pop()
-        dead.add((i, used))
-        return False
-
-    if not place(0, 0):
-        return None
-    entries = tuple(WitnessEntry(host, 0, verts, emb)
-                    for host, verts, emb in chosen)
-    return MatchingWitness(entries)
+    # each host is a family of its own, with demand 1
+    return _pack_copies([_copies(f, g) for g in hosts], [1] * len(hosts),
+                        [(i, 0) for i in range(len(hosts))], set())

@@ -24,9 +24,10 @@ a copy's vertices are the image of all v(F) vertices, so isolated
 vertices of F take part in disjointness.  Each search node carries its
 alive set, the copies inside its graph: a child that deletes edge e
 takes the parent's set minus e's copies.  A realization is then found
-by lowest-bit scans over the alive set, each chosen copy striking out
-its vertex conflicts (bit-parallel candidate sets, as in San Segundo,
-Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
+by `matching._pack`, the one disjoint-copy kernel: lowest-bit scans over
+the alive set, each chosen copy striking out its vertex conflicts
+(bit-parallel candidate sets, as in San Segundo, Rodríguez-Losada &
+Jiménez, Comput. Oper. Res. 2011).
 
 Searches are deterministic: realizations are found lexicographically
 (families in normalized order, copies in sorted edge order, same-family
@@ -49,7 +50,7 @@ from typing import Optional, Sequence
 
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
-from .matching import _embeddings
+from .matching import _bits, _conflicts, _embeddings, _pack, _spans, _union
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 _DEFAULT_CACHE_DIR = ".turankit-cache"
@@ -64,22 +65,6 @@ _FORMAT = 2
 # pattern in K8 that a matching test can draw (Fano at n = 10 has 3600).
 _MAX_EDGES = 1000
 _MAX_COPIES = 30_000
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _union(table, mask: int) -> int:
-    """Bitwise or of table[i] over the set bits i of mask."""
-    out = 0
-    for i in _bits(mask):
-        out |= table[i]
-    return out
 
 
 def _node_limit(override: Optional[int]) -> int:
@@ -179,23 +164,18 @@ class _Searcher:
         for f, t in config.families:
             self.fams.append((self._copies(f), t))
         # One bit space over the copies of all families, in family order:
-        # spans[i] = (family i's bits, demand), kill[e] = the copies using
-        # edge e, conf[c] = the copies sharing a vertex with copy c (of
-        # any family), used = the edges some copy uses.
+        # kill[e] = the copies using edge e, used = the edges some copy
+        # uses, and `pack` finds realizations in it (`matching._pack`).
         flat = [copy for copies, _ in self.fams for copy in copies]
-        self.copy_edges = [em for em, _ in flat]
-        self.spans, c = [], 0
-        for copies, t in self.fams:
-            self.spans.append(((1 << c + len(copies)) - (1 << c), t))
-            c += len(copies)
-        self.kill, vcop = [0] * len(self.edges), [0] * n
-        for c, (em, vm) in enumerate(flat):
+        self.all_copies = (1 << len(flat)) - 1
+        self.kill = [0] * len(self.edges)
+        for c, (em, _) in enumerate(flat):
             for e in _bits(em):
                 self.kill[e] |= 1 << c
-            for v in _bits(vm):
-                vcop[v] |= 1 << c
-        self.conf = [_union(vcop, vm) for _, vm in flat]
         self.used = sum(1 << e for e, k in enumerate(self.kill) if k)
+        self.pack = _pack(_spans(self.fams),
+                          _conflicts([vm for _, vm in flat], n),
+                          [em for em, _ in flat])
         self.nodes = 0
         self.limit_hit = False
         self.skipped_upper = -1
@@ -219,7 +199,7 @@ class _Searcher:
     def alive_in(self, w: int) -> int:
         """The copies inside edge set w, as a bitset over copy indices."""
         missing = self.used & ~w
-        return (1 << len(self.copy_edges)) - 1 & ~_union(self.kill, missing)
+        return self.all_copies & ~_union(self.kill, missing)
 
     def find_realization(self, w: int, alive: Optional[int] = None
                          ) -> Optional[int]:
@@ -228,31 +208,7 @@ class _Searcher:
         must equal `alive_in(w)`; the search keeps it incrementally."""
         if alive is None:
             alive = self.alive_in(w)
-        spans, conf, copy_edges = self.spans, self.conf, self.copy_edges
-        last = len(spans) - 1
-
-        def go(fi: int, need: int, avail: int) -> Optional[int]:
-            # the least copy of family fi left in avail, then the rest;
-            # avail already excludes every copy meeting a chosen one
-            cand = avail & spans[fi][0]
-            left = cand.bit_count()
-            while left >= need:
-                low = cand & -cand
-                c = low.bit_length() - 1
-                rest = avail & -(low << 1) & ~conf[c]
-                if need > 1:
-                    got = go(fi, need - 1, rest)
-                elif fi < last:
-                    got = go(fi + 1, spans[fi + 1][1], rest)
-                else:
-                    got = 0
-                if got is not None:
-                    return got | copy_edges[c]
-                cand ^= low
-                left -= 1
-            return None
-
-        return go(0, spans[0][1], alive)
+        return self.pack(alive)
 
     def is_feasible(self, mask: int) -> bool:
         return self.find_realization(mask) is None
@@ -345,24 +301,6 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
             seeded = seed.edge_count
             seed_mask = m
 
-    if enumerate_all:
-        # two passes: establish the exact value, then collect its leaves
-        value_rec = _solve(n, config, seed, False, node_limit)
-        if value_rec.status != "exact":
-            return TuranRecord(
-                n, config.r, config.hash_hex(), "bounds",
-                value_rec.value, value_rec.upper, value_rec.extremal,
-                False, value_rec.nodes, value_rec.elapsed_ms, seeded)
-        value = value_rec.value
-        forms = s.run(value, limit, True)
-        status = "bounds" if s.limit_hit else "exact"
-        extremal = tuple(sorted(forms, key=lambda g: g.edges))
-        elapsed = int((time.perf_counter() - t0) * 1000)
-        return TuranRecord(
-            n, config.r, config.hash_hex(), status, value, value,
-            extremal, not s.limit_hit,
-            s.nodes + value_rec.nodes, elapsed + value_rec.elapsed_ms, seeded)
-
     best = seeded if seed_mask is not None else -1
     value, witness = s.run(best, limit, False)
     if witness is None and seed_mask is not None:
@@ -378,9 +316,19 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
     if witness is not None:
         cf = canonical_form(s.graph_of(witness))
         extremal = (Hypergraph(cf.n, cf.r, cf.edges),)
+    nodes, complete = s.nodes, False
+    if enumerate_all and status == "exact":
+        # second pass on the same tables: collect the value's leaves,
+        # with a node budget of its own
+        s.nodes = 0
+        forms = s.run(value, limit, True)
+        nodes += s.nodes
+        complete = not s.limit_hit
+        status = "exact" if complete else "bounds"
+        extremal = tuple(sorted(forms, key=lambda g: g.edges))
     elapsed = int((time.perf_counter() - t0) * 1000)
     return TuranRecord(n, config.r, config.hash_hex(), status, value, upper,
-                       extremal, False, s.nodes, elapsed, seeded)
+                       extremal, complete, nodes, elapsed, seeded)
 
 
 def _record_key(n: int, config: ForbiddenConfig) -> str:

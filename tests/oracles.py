@@ -4,8 +4,10 @@ Everything here is deliberately naive (factorial/exponential) and written
 without reusing the package's search code, so the two sides can
 cross-check each other.  The copy-enumerator references share only the
 package's static pattern order, so that their output order can be
-compared exactly; the generation reference shares the package's
-feasibility check and vertex-profile invariant.  Budgets: n <= 7 for
+compared exactly; the packing references share the package's copy
+tables and family normalization, so that witnesses compare exactly; the
+generation reference shares the package's feasibility check and
+vertex-profile invariant.  Budgets: n <= 7 for
 relabeling scans, small edge counts for packing enumeration.
 """
 
@@ -16,7 +18,10 @@ from math import comb
 
 from turankit.core import Hypergraph
 from turankit.genfree import _set_invariant, _vertex_profiles
-from turankit.matching import _edge_checks, _pattern_order
+from turankit.matching import (
+    MatchingWitness, WitnessEntry, _copies, _edge_checks, _normalize_families,
+    _pattern_order,
+)
 from turankit.solver import _Searcher
 
 
@@ -295,6 +300,108 @@ def reference_find_realization(searcher, w: int):
         return None
 
     return go(0, fams[0][1], 0, 0, 0)
+
+
+# -- the packing searches before the bit-parallel kernel -----------------
+
+
+def _reference_pack(demands, memo, copy_lists, mask):
+    """`matching._pack` before the bit-parallel kernel: copies (family
+    position, copy position) meeting `demands` inside the vertex bitmask
+    `mask`, or None, memoized on (mask, demands).  It branches on the least
+    vertex v of the first available copy of the first unmet family: some
+    copy through v is used, or v is not."""
+    if not any(demands):
+        return []
+    key = (mask, demands)
+    if key in memo:
+        return memo[key]
+    fam = next(i for i, d in enumerate(demands) if d > 0)
+    pivot_mask = next((cm for cm, _, _ in copy_lists[fam]
+                       if cm & mask == cm), 0)
+    result = None
+    if pivot_mask:
+        v_bit = pivot_mask & -pivot_mask
+        for gi, d in enumerate(demands):
+            if d == 0 or result is not None:
+                continue
+            for ci, (cm, _, _) in enumerate(copy_lists[gi]):
+                if cm & v_bit and cm & mask == cm:
+                    nxt = tuple(t - (1 if i == gi else 0)
+                                for i, t in enumerate(demands))
+                    sub = _reference_pack(nxt, memo, copy_lists, mask & ~cm)
+                    if sub is not None:
+                        result = [(gi, ci)] + sub
+                        break
+        if result is None:
+            result = _reference_pack(demands, memo, copy_lists, mask & ~v_bit)
+    memo[key] = result
+    return result
+
+
+def _reference_witness(families, copy_lists, picks) -> MatchingWitness:
+    entries = []
+    for gi, ci in picks:
+        _, verts, emb = copy_lists[gi][ci]
+        entries.append(WitnessEntry(0, families[gi][2], verts, emb))
+    entries.sort(key=lambda e: (e.family, e.vertices))
+    return MatchingWitness(tuple(entries))
+
+
+def reference_matching_number(f: Hypergraph, h: Hypergraph, cap=None):
+    """`matching.matching_number` on the memo search: asks for 1, 2, ...
+    disjoint copies until the answer flips or `cap` is reached."""
+    copy_lists = [_copies(f, h)]
+    memo: dict = {}
+    value, picks = 0, []
+    while cap is None or value < cap:
+        attempt = _reference_pack((value + 1,), memo, copy_lists,
+                                  (1 << h.n) - 1)
+        if attempt is None:
+            break
+        value, picks = value + 1, attempt
+    return value, _reference_witness([(f, 0, 0)], copy_lists, picks)
+
+
+def reference_has_disjoint_config(h: Hypergraph, config):
+    """`matching.has_disjoint_config` on the memo search."""
+    families = _normalize_families(config)
+    copy_lists = [_copies(f, h) for f, _, _ in families]
+    picks = _reference_pack(tuple(t for _, t, _ in families), {}, copy_lists,
+                            (1 << h.n) - 1)
+    if picks is None:
+        return None
+    return _reference_witness(families, copy_lists, picks)
+
+
+def reference_rainbow_matching(hosts, f: Hypergraph):
+    """`matching.rainbow_matching` before the bit-parallel kernel: host by
+    host, the first copy in `_copies` order disjoint from those placed,
+    with failed (host, used vertices) pairs remembered."""
+    if not hosts:
+        return MatchingWitness(())
+    n = hosts[0].n
+    if len(hosts) * f.n > n:
+        return None
+    copy_lists = [_copies(f, g) for g in hosts]
+    dead = set()
+    chosen = []
+
+    def place(i: int, used: int) -> bool:
+        if i == len(hosts):
+            return True
+        if (i, used) in dead:
+            return False
+        for cm, verts, emb in copy_lists[i]:
+            if cm & used == 0:
+                chosen.append(WitnessEntry(i, 0, verts, emb))
+                if place(i + 1, used | cm):
+                    return True
+                chosen.pop()
+        dead.add((i, used))
+        return False
+
+    return MatchingWitness(tuple(chosen)) if place(0, 0) else None
 
 
 # -- isomorph-free generation before the phase-1 scan ---------------------

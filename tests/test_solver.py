@@ -368,6 +368,22 @@ def test_pinned_enumeration_node_count():
     assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
 
 
+def test_enumeration_builds_the_copy_tables_once(cache, monkeypatch):
+    # the value pass and the enumerate pass share one searcher
+    built = []
+
+    class Counted(_Searcher):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_Searcher", Counted)
+    seed = Hypergraph(6, 2, ((0, 3), (1, 4)))
+    graphs = enumerate_extremal(6, config_of([(K3, 1)]), seed, cache_dir=cache)
+    assert len(built) == 1
+    assert len(graphs) == 1 and graphs[0].edge_count == 9
+
+
 @st.composite
 def configs_with_edge_sets(draw):
     """One or two families (r in {2, 3}, at most r + 2 vertices each,
