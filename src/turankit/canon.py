@@ -189,7 +189,10 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
             search(child, base + (v,))
             explored.append(v)
 
-    search([list(range(n))], ())
+    try:
+        search([list(range(n))], ())
+    finally:
+        del search  # it refers to itself: break the cycle, free the scan
     assert best_perm is not None and best_edges is not None
     return Scan(tuple(generators), best_perm, best_edges)
 
@@ -305,7 +308,10 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
             assign[j] = -1
             tried.append(u)
 
-    search(0, [])
+    try:
+        search(0, [])
+    finally:
+        del search  # as in `refinement_scan`
     if best_assign is None:
         # phase 2 never strictly improved on the phase-1 labeling
         return seed_perm, seed_edges

@@ -16,7 +16,7 @@ takes the lowest copy left, strikes out its conflicts, and backtracks, so
 the packing found is the least in family-major copy order.  The packings
 here add a failure memo on (family, demand left, copies left), which the
 solver's realizations run without; exact values come from asking
-s = 1, 2, ... with one memo until the answer flips.  A host is a family
+s = 1, 2, ... of one bit space, with one memo, until the answer flips.  A host is a family
 of its own in rainbow matchings.
 
 All searches are exact and deterministic; hosts are limited to n <= 16
@@ -302,34 +302,40 @@ def _pack(spans, conf, marks, dead: Optional[set] = None):
     return step
 
 
-def _pack_copies(tables, demands: Sequence[int], labels,
-                 dead: set) -> Optional[MatchingWitness]:
-    """Witness of the least packing of demands[i] copies from each
-    tables[i] (lists from `_copies`), all pairwise vertex-disjoint, or
-    None; labels[i] = the (host, family) of table i's entries.  None at
-    once when the demands need more vertices than the copies cover."""
+def _pack_copies(tables, labels):
+    """The packing search over copies from tables[i] (lists from
+    `_copies`), all pairwise vertex-disjoint, built once per bit space;
+    labels[i] = the (host, family) of table i's entries.  Returns a
+    function of (demands, dead): the witness of the least packing of
+    demands[i] copies from each table i, or None, with `dead` the failure
+    memo of `_pack`.  None at once when the demands need more vertices
+    than the copies cover."""
     if not tables:
-        return MatchingWitness(())
+        return lambda demands, dead: MatchingWitness(())
     if not all(tables):
-        return None
+        return lambda demands, dead: None
     flat = [(i, copy) for i, table in enumerate(tables) for copy in table]
     masks = [vm for _, (vm, _, _) in flat]
     covered = 0
     for vm in masks:
         covered |= vm
-    if sum(t * len(table[0][1]) for table, t in zip(tables, demands)) \
-            > covered.bit_count():
-        return None
-    search = _pack(_spans(zip(tables, demands)),
-                   _conflicts(masks, covered.bit_length()),
-                   [1 << c for c in range(len(flat))], dead)
-    chosen = search((1 << len(flat)) - 1)
-    if chosen is None:
-        return None
-    entries = (WitnessEntry(*labels[i], verts, emb)
-               for i, (_, verts, emb) in (flat[c] for c in _bits(chosen)))
-    return MatchingWitness(tuple(sorted(
-        entries, key=lambda e: (e.host, e.family, e.vertices))))
+    conf = _conflicts(masks, covered.bit_length())
+    marks = [1 << c for c in range(len(flat))]
+
+    def pack(demands: Sequence[int], dead: set) -> Optional[MatchingWitness]:
+        if sum(t * len(table[0][1]) for table, t in zip(tables, demands)) \
+                > covered.bit_count():
+            return None
+        search = _pack(_spans(zip(tables, demands)), conf, marks, dead)
+        chosen = search((1 << len(flat)) - 1)
+        if chosen is None:
+            return None
+        entries = (WitnessEntry(*labels[i], verts, emb)
+                   for i, (_, verts, emb) in (flat[c] for c in _bits(chosen)))
+        return MatchingWitness(tuple(sorted(
+            entries, key=lambda e: (e.host, e.family, e.vertices))))
+
+    return pack
 
 
 def matching_number(f: Hypergraph, h: Hypergraph,
@@ -339,11 +345,11 @@ def matching_number(f: Hypergraph, h: Hypergraph,
     _check_budget(h)
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
-    tables = [_copies(f, h)]
+    pack = _pack_copies([_copies(f, h)], [(0, 0)])
     dead: set = set()  # a failure stays one as the lone demand grows
     witness = MatchingWitness(())
     while cap is None or len(witness) < cap:
-        attempt = _pack_copies(tables, (len(witness) + 1,), [(0, 0)], dead)
+        attempt = pack((len(witness) + 1,), dead)
         if attempt is None:
             break
         witness = attempt
@@ -357,9 +363,9 @@ def has_disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
     carry the original index of each family's first occurrence."""
     _check_budget(h)
     families = _normalize_families(config)
-    return _pack_copies([_copies(f, h) for f, _, _ in families],
-                        [t for _, t, _ in families],
-                        [(0, first) for _, _, first in families], set())
+    pack = _pack_copies([_copies(f, h) for f, _, _ in families],
+                        [(0, first) for _, _, first in families])
+    return pack([t for _, t, _ in families], set())
 
 
 def rainbow_matching(hosts: Sequence[Hypergraph],
@@ -375,5 +381,6 @@ def rainbow_matching(hosts: Sequence[Hypergraph],
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
     # each host is a family of its own, with demand 1
-    return _pack_copies([_copies(f, g) for g in hosts], [1] * len(hosts),
-                        [(i, 0) for i in range(len(hosts))], set())
+    pack = _pack_copies([_copies(f, g) for g in hosts],
+                        [(i, 0) for i in range(len(hosts))])
+    return pack([1] * len(hosts), set())

@@ -3,15 +3,35 @@
 A forbidden configuration demands, for each listed family (F_i, t_i),
 that feasible hosts contain no simultaneous pairwise vertex-disjoint
 realization of t_i copies of every F_i at once.  The solver starts from
-the complete r-graph and explores a *freezing partition tree*: at each
-infeasible node it locates one violating realization, and child i
-deletes the i-th non-frozen edge of that realization while freezing the
-earlier ones.  Every feasible subgraph of the root lies below exactly
-one child (it keeps some least-indexed realization edge missing), every
-maximum feasible graph is reached as a leaf, and distinct leaves are
-distinct labeled graphs — so no memoization is needed (and canonical
-memoization would be unsound here: two isomorphic nodes with different
-frozen sets span different feasible families).
+the complete r-graph and explores a *freezing tree*: a node is a pair
+(g, frozen) of edge sets with frozen ⊆ g, standing for the feasible H
+with frozen ⊆ H ⊆ g.  At an infeasible node it locates one violating
+realization and branches on e, the least non-frozen edge of it, by
+*orbital branching* (Ostrowski, Linderoth, Rossi & Smriglio, Math.
+Program. 126, 2011): child A deletes e; child B freezes the orbit of e
+under the group generated by the transpositions (u v) that map g onto g
+and frozen onto frozen.  Such a group maps the node's subgraphs onto its
+own subgraphs.  A feasible H of the node that keeps e but misses an
+edge σ(e) of the orbit has the image σ⁻¹(H) below child A, with the same
+edge count and the same isomorphism class; an H keeping the whole orbit
+lies below child B.  So every maximum feasible graph has an isomorphic
+copy among the leaves, which is all the value and the enumerated classes
+need, while subproblems that are relabelings of one another under the
+group are explored once.  Leaves may still repeat a class (the group is
+only a subgroup of each node's symmetries), and enumeration keeps their
+canonical forms in a set.  Canonical memoization across nodes stays
+unsound: two isomorphic nodes with different frozen sets span different
+feasible families.
+
+The transpositions are twin swaps, the ones `canon._twin_transpositions`
+finds, with an edge colour for frozen.  Being one is an equivalence
+relation on the vertices, so the group is the product of the symmetric
+groups on its classes, and the orbit of e is every r-set meeting each
+class in as many vertices as e does.  Each node carries per-vertex link
+bitsets of (g, frozen), so a twin test is one masked comparison and an
+orbit a few star-mask operations; the tables behind them are built by
+the first `run`, so searchers that only test feasibility never pay for
+them.
 
 Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
@@ -29,10 +49,17 @@ the alive set, each chosen copy striking out its vertex conflicts
 (bit-parallel candidate sets, as in San Segundo, Rodríguez-Losada &
 Jiménez, Comput. Oper. Res. 2011).
 
+Value mode asks "is there a feasible graph with more than k edges?" and,
+when there is, finds the largest.  With a feasible seed it asks once, k
+the seed's count; without one, for k = C(n, r) − 1, C(n, r) − 2, … until
+the answer is yes, every no proving ex ≤ k.  Runs aimed too high stop on
+the packing bound at once, and a run from below finds its good leaves
+late (see `_solve`).
+
 Searches are deterministic: realizations are found lexicographically
 (families in normalized order, copies in sorted edge order, same-family
-copies strictly increasing), so values, witnesses, and node counts
-reproduce.
+copies strictly increasing), child A is explored before child B, and the
+node limit counts both; so values, witnesses, and node counts reproduce.
 """
 
 from __future__ import annotations
@@ -176,6 +203,7 @@ class _Searcher:
         self.pack = _pack(_spans(self.fams),
                           _conflicts([vm for _, vm in flat], n),
                           [em for em, _ in flat])
+        self.orbit_tables = None  # built by the first `run`, which needs them
         self.nodes = 0
         self.limit_hit = False
         self.skipped_upper = -1
@@ -223,15 +251,74 @@ class _Searcher:
         return Hypergraph(self.n, self.r,
                           tuple(self.edges[e] for e in _bits(mask)))
 
+    def _orbit_tables(self):
+        """Tables for twin tests and edge orbits on the complete host.
+        Per vertex v, star[v] = the edges containing v.  A link is an
+        (r-1)-set bitset carrying the g part in its low half and the
+        frozen part shifted up by `shift`; link_bits[e] = the (vertex,
+        link bit) pairs edge e adds, and avoid[u][v] = the (r-1)-sets
+        missing u and v, in both halves."""
+        n, r = self.n, self.r
+        lsets = {t: i for i, t in enumerate(combinations(range(n), r - 1))}
+        shift = len(lsets)
+        star = [0] * n
+        link_bits = []
+        for i, e in enumerate(self.edges):
+            pairs = []
+            for v in e:
+                star[v] |= 1 << i
+                pairs.append((v, 1 << lsets[tuple(w for w in e if w != v)]))
+            link_bits.append(tuple(pairs))
+        has = [sum(1 << i for t, i in lsets.items() if v in t)
+               for v in range(n)]
+        low = (1 << shift) - 1
+        avoid = [[(low & ~(has[u] | has[v])) * (1 | 1 << shift)
+                  for v in range(n)] for u in range(n)]
+        root = [low & ~has[v] for v in range(n)]  # the links of K_n
+        return star, link_bits, avoid, shift, root
+
+    def orbit(self, e: int, links) -> int:
+        """Edge mask of the orbit of edge e under the twin transpositions
+        of (g, frozen), given their links: every r-set meeting each twin
+        class in as many vertices as e does (module docstring)."""
+        star, _, avoid, _, _ = self.orbit_tables
+        classes = []
+        inside = 0  # vertices of e already placed in a class
+        for a in self.edges[e]:
+            if inside >> a & 1:
+                continue
+            la, av = links[a], avoid[a]
+            cls = [v for v in range(self.n)
+                   if not (la ^ links[v]) & av[v]]
+            cmask = sum(1 << v for v in cls)
+            classes.append((cls, sum(1 for v in self.edges[e]
+                                     if cmask >> v & 1)))
+            inside |= cmask
+        orb = self.full
+        for cls, k in classes:
+            # at[j] = the edges with at least j vertices in cls; the k add
+            # up to r, so at least k in every class means exactly k
+            at = [self.full] + [0] * k
+            for v in cls:
+                for j in range(k, 0, -1):
+                    at[j] |= at[j - 1] & star[v]
+            orb &= at[k]
+        return orb
+
     def run(self, best: int, node_limit: int, enumerate_all: bool):
-        """Explore the freezing partition tree.  Value mode: returns
-        (best value, witness mask or None).  Enumerate mode: `best` is
-        the known exact value; returns the set of canonical forms."""
+        """Explore the orbital freezing tree.  Value mode: returns (best
+        value, witness mask or None).  Enumerate mode: `best` is the known
+        exact value; returns the set of canonical forms."""
+        if len(self.edges) != comb(self.n, self.r):
+            raise ValueError("orbital branching needs the complete host")
+        if self.orbit_tables is None:
+            self.orbit_tables = self._orbit_tables()
+        _, link_bits, _, shift, root = self.orbit_tables
         found: set = set()
         best_mask = [None]
         best_box = [best]
 
-        def search(g: int, frozen: int, cnt: int, alive: int):
+        def search(g: int, frozen: int, cnt: int, alive: int, links):
             self.nodes += 1
             if self.nodes > node_limit:
                 self.limit_hit = True
@@ -270,16 +357,20 @@ class _Searcher:
                     best_box[0] = cnt
                     best_mask[0] = g
                 return
-            newly = 0
-            while first:
-                low = first & -first
-                search(g & ~low, frozen | newly, cnt - 1,
-                       alive & ~self.kill[low.bit_length() - 1])
-                newly |= low
-                first ^= low
-            return
+            low = first & -first
+            e = low.bit_length() - 1
+            child = links[:]
+            for v, bit in link_bits[e]:
+                child[v] ^= bit
+            search(g & ~low, frozen, cnt - 1, alive & ~self.kill[e], child)
+            orb = self.orbit(e, links)
+            child = links[:]
+            for x in _bits(orb):
+                for v, bit in link_bits[x]:
+                    child[v] |= bit << shift
+            search(g, frozen | orb, cnt, alive, child)
 
-        search(self.full, 0, len(self.edges), self.alive_in(self.full))
+        search(self.full, 0, len(self.edges), self.alive_in(self.full), root)
         if enumerate_all:
             return found
         return best_box[0], best_mask[0]
@@ -301,17 +392,25 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
             seeded = seed.edge_count
             seed_mask = m
 
+    # The value pass (module docstring).  A run from below finds good
+    # graphs late: Fano at n = 10 takes 49 305 nodes from k = -1, 315
+    # from k = 99, and 759 for the whole descent from k = 119.
     best = seeded if seed_mask is not None else -1
-    value, witness = s.run(best, limit, False)
-    if witness is None and seed_mask is not None:
-        value, witness = seeded, seed_mask
+    value, witness = best, seed_mask
+    upper = len(s.edges)
+    for k in range(best if seed_mask is not None else upper - 1, best - 1, -1):
+        found, mask = s.run(k, limit, False)
+        if mask is not None:
+            value, witness = found, mask
+        if s.limit_hit:
+            upper = min(upper, max(value, s.skipped_upper))
+            break
+        if mask is not None:
+            upper = value
+            break
+        upper = k
     value = max(value, 0)  # the empty graph is feasible even if never reached
-    if s.limit_hit:
-        status = "bounds"
-        upper = max(value, s.skipped_upper)
-    else:
-        status = "exact"
-        upper = value
+    status = "bounds" if s.limit_hit else "exact"
     extremal = ()
     if witness is not None:
         cf = canonical_form(s.graph_of(witness))

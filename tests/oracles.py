@@ -7,7 +7,8 @@ package's static pattern order, so that their output order can be
 compared exactly; the packing references share the package's copy
 tables and family normalization, so that witnesses compare exactly; the
 generation reference shares the package's feasibility check and
-vertex-profile invariant.  Budgets: n <= 7 for
+vertex-profile invariant; the freezing-search reference shares the
+solver's copy tables and realization kernel.  Budgets: n <= 7 for
 relabeling scans, small edge counts for packing enumeration.
 """
 
@@ -16,13 +17,13 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import comb
 
-from turankit.core import Hypergraph
+from turankit.core import Hypergraph, canonical_form
 from turankit.genfree import _set_invariant, _vertex_profiles
 from turankit.matching import (
     MatchingWitness, WitnessEntry, _copies, _edge_checks, _normalize_families,
-    _pattern_order,
+    _pattern_order, _union,
 )
-from turankit.solver import _Searcher
+from turankit.solver import TuranRecord, _Searcher
 
 
 # -- tiny independent constructors (used to cross-check zoo) -----------
@@ -300,6 +301,98 @@ def reference_find_realization(searcher, w: int):
         return None
 
     return go(0, fams[0][1], 0, 0, 0)
+
+
+# -- the freezing search before orbital branching ------------------------
+
+
+def reference_run(searcher, best: int, node_limit: int, enumerate_all: bool):
+    """`solver._Searcher.run` before orbital branching: the multiway
+    freezing tree, where child i of an infeasible node deletes the i-th
+    non-frozen edge of its first violating realization and freezes the
+    earlier ones.  It shares the searcher's tables and kernel, its node
+    counter and its bracket fields, and returns what `run` returns."""
+    s = searcher
+    found: set = set()
+    best_mask = [None]
+    best_box = [best]
+
+    def search(g: int, frozen: int, cnt: int, alive: int):
+        s.nodes += 1
+        if s.nodes > node_limit:
+            s.limit_hit = True
+            if cnt > s.skipped_upper:
+                s.skipped_upper = cnt
+            return
+        if enumerate_all:
+            if cnt < best_box[0]:
+                return
+        elif cnt <= best_box[0]:
+            return
+        w, a = g, alive  # g after the packing's deletions
+        first = None
+        p = 0
+        while True:
+            real = s.find_realization(w, a)
+            if real is None:
+                break
+            nonfrozen = real & ~frozen
+            if nonfrozen == 0:
+                return  # the realization survives every deletion below
+            if first is None:
+                first = nonfrozen
+            p += 1
+            if enumerate_all:
+                if cnt - p < best_box[0]:
+                    return
+            elif cnt - p <= best_box[0]:
+                return
+            w &= ~nonfrozen
+            a &= ~_union(s.kill, nonfrozen)
+        if first is None:
+            if enumerate_all:
+                found.add(canonical_form(s.graph_of(g)).graph())
+            else:
+                best_box[0] = cnt
+                best_mask[0] = g
+            return
+        newly = 0
+        while first:
+            low = first & -first
+            search(g & ~low, frozen | newly, cnt - 1,
+                   alive & ~s.kill[low.bit_length() - 1])
+            newly |= low
+            first ^= low
+
+    search(s.full, 0, len(s.edges), s.alive_in(s.full))
+    if enumerate_all:
+        return found
+    return best_box[0], best_mask[0]
+
+
+def reference_solve(n: int, config, enumerate_all: bool,
+                    node_limit: int = 10_000_000) -> TuranRecord:
+    """`solver._solve` before orbital branching, without a seed: one value
+    run of `reference_run` from below, then, when asked and exact, the
+    enumerate pass at the value with a node budget of its own."""
+    s = _Searcher(n, config)
+    value, witness = reference_run(s, -1, node_limit, False)
+    value = max(value, 0)  # the empty graph is feasible even if never reached
+    upper = max(value, s.skipped_upper) if s.limit_hit else value
+    status = "bounds" if s.limit_hit else "exact"
+    extremal = ()
+    if witness is not None:
+        extremal = (canonical_form(s.graph_of(witness)).graph(),)
+    nodes, complete = s.nodes, False
+    if enumerate_all and status == "exact":
+        s.nodes = 0
+        forms = reference_run(s, value, node_limit, True)
+        nodes += s.nodes
+        complete = not s.limit_hit
+        status = "exact" if complete else "bounds"
+        extremal = tuple(sorted(forms, key=lambda g: g.edges))
+    return TuranRecord(n, config.r, config.hash_hex(), status, value, upper,
+                       extremal, complete, nodes, 0, 0)
 
 
 # -- the packing searches before the bit-parallel kernel -----------------

@@ -1,11 +1,13 @@
 """The phase-1 refinement scan: its generators generate the whole
-automorphism group, and its certificate is an isomorphism invariant."""
+automorphism group, and its certificate is an isomorphism invariant.
+Neither phase leaves garbage for the cyclic collector."""
 
+import gc
 from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from turankit.canon import refinement_scan
+from turankit.canon import canonical_labeling, refinement_scan
 from turankit.core import Hypergraph, complete, disjoint_union, empty, join
 
 from oracles import automorphism_count, group_order, relabel
@@ -65,3 +67,18 @@ def test_certificate_is_invariant_under_relabeling(g, rnd):
     scan = refinement_scan(g.n, g.edges)
     assert relabel(g, scan.perm).edges == scan.edges
     assert refinement_scan(g.n, relabel(g, perm).edges).edges == scan.edges
+
+
+def test_labeling_leaves_no_cyclic_garbage():
+    # recursive closures used to refer to themselves, so every call left
+    # its search state for the cyclic collector
+    g = join(1, disjoint_union([(complete(3, 2), 1), (complete(2, 2), 2)]))
+    assert g.n == 8
+    gc.collect()
+    gc.disable()
+    try:
+        for labeling in (refinement_scan, canonical_labeling):
+            labeling(g.n, g.edges)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
+from turankit import matching
 from turankit.core import Hypergraph, complete, empty, join
 from turankit.matching import (
     MatchingWitness, _normalize_families, has_disjoint_config,
@@ -112,3 +113,17 @@ def test_edgeless_family():
     assert has_disjoint_config(h, [(pair, 2), (K3, 1)]) is None
     assert has_disjoint_config(h, [(pair, 2)]) == \
         reference_has_disjoint_config(h, [(pair, 2)])
+
+
+def test_matching_number_builds_its_bit_space_once(monkeypatch):
+    # only the demand changes as s = 1, 2, ... is asked
+    built = []
+    real = matching._conflicts
+
+    def counted(masks, n):
+        built.append(len(masks))
+        return real(masks, n)
+
+    monkeypatch.setattr(matching, "_conflicts", counted)
+    assert matching_number(K3, complete(9, 2))[0] == 3
+    assert built == [84]  # C(9, 3) triangles

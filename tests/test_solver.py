@@ -12,11 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     brute_has_config, brute_max_feasible, reference_find_realization,
-    relabel, turan_graph,
+    reference_solve, relabel, turan_graph,
 )
-from turankit.core import Hypergraph, are_isomorphic, complete, join
+from turankit.core import Hypergraph, are_isomorphic, complete, empty, join
 from turankit.errors import BudgetExceededError
 from turankit import solver
+from turankit.genfree import free_graphs
+from turankit.matching import _bits
 from turankit.solver import (
     ForbiddenConfig, TuranRecord, TuranTable, _Searcher, _solve, config_of,
     enumerate_extremal, ex_table, max_edges, pi_upper,
@@ -345,8 +347,9 @@ def test_unrealizable_config_gives_complete_graph(cache):
     assert max_edges(7, config_of([(K3_ISO, 2)]), cache_dir=cache).value == 21
 
 
-# Node counts of the deletion search, pinned: the copy tables' order
-# decides which violating realization each node branches on.
+# Node counts of the search before orbital branching, pinned on its
+# reference: the copy tables' order decides which violating realization
+# each node branches on.
 @pytest.mark.parametrize("n, families, value, nodes", [
     (9, ((K3, 2),), 24, 41332),
     (9, ((K4, 1),), 27, 13962),
@@ -357,13 +360,49 @@ def test_unrealizable_config_gives_complete_graph(cache):
     (9, ((K3, 1), (K3_ISO, 1)), 24, 41332),
 ])
 def test_pinned_node_counts(n, families, value, nodes):
-    rec = _solve(n, config_of(families), None, False, None)
+    rec = reference_solve(n, config_of(families), False)
     assert (rec.status, rec.value, rec.nodes) == ("exact", value, nodes)
 
 
 def test_pinned_enumeration_node_count():
-    rec = _solve(9, config_of([(K3, 2)]), None, True, None)
+    rec = reference_solve(9, config_of([(K3, 2)]), True)
     assert rec.nodes == 110860  # both passes
+    assert len(rec.extremal) == 1
+    assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
+
+
+# The same instances under orbital branching, which counts both children
+# of every branch, summed over the value pass's descending runs.
+@pytest.mark.parametrize("n, families, value, nodes", [
+    (9, ((K3, 2),), 24, 561),
+    (9, ((K4, 1),), 27, 268),
+    (8, ((fano(), 1),), 48, 43),
+    (10, ((K3, 1),), 25, 585),
+    (9, ((EDGE2, 3),), 15, 944),
+    (8, ((K3, 1), (K4, 1)), 22, 149),
+    (9, ((K3, 1), (K3_ISO, 1)), 24, 561),
+    (11, ((K3, 1),), 30, 1220),
+    (9, ((fano(), 1),), 70, 313),
+])
+def test_orbital_node_counts(n, families, value, nodes):
+    rec = _solve(n, config_of(families), None, False, None)
+    assert (rec.status, rec.value, rec.nodes) == ("exact", value, nodes)
+
+
+# With a seed the value pass is one run above the seed's count; with an
+# extremal seed it only proves that nothing beats it.
+@pytest.mark.parametrize("n, families, seed, value, nodes", [
+    (9, ((K3, 1),), turan(9, 2, 2), 20, 93),
+    (9, ((K3, 2),), join(1, turan(8, 2, 2)), 24, 163),
+])
+def test_seeded_node_counts(n, families, seed, value, nodes):
+    rec = _solve(n, config_of(families), seed, False, None)
+    assert (rec.status, rec.value, rec.nodes) == ("exact", value, nodes)
+
+
+def test_orbital_enumeration_node_count():
+    rec = _solve(9, config_of([(K3, 2)]), None, True, None)
+    assert rec.nodes == 858  # both passes
     assert len(rec.extremal) == 1
     assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
 
@@ -424,3 +463,151 @@ def test_kernel_matches_reference_walk(case):
 
     s.find_realization = checked
     s.run(-1, 80, False)
+
+
+@st.composite
+def small_configs(draw):
+    """One or two families (r in {2, 3}, at most r + 2 vertices each,
+    isolated vertices allowed, demands at most 2) and n <= 7."""
+    r = draw(st.sampled_from([2, 3]))
+    families = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.integers(r, r + 2))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(v), r))),
+                              min_size=1, max_size=4, unique=True))
+        families.append((Hypergraph(v, r, tuple(edges)), draw(st.integers(1, 2))))
+    return draw(st.integers(r, 7)), ForbiddenConfig(tuple(families))
+
+
+@settings(max_examples=120)
+@given(small_configs())
+@example((7, config_of([(K3, 1), (K3_ISO, 1)])))
+@example((7, config_of([(K3_ISO, 1), (EDGE2, 2)])))
+@example((7, config_of([(EDGE3, 2)])))
+@example((7, config_of([(complete(4, 3), 1)])))
+def test_orbital_search_matches_reference(case):
+    n, cfg = case
+    value = _solve(n, cfg, None, False, None)
+    classes = _solve(n, cfg, None, True, None)
+    assert value.value == classes.value
+    # the value pass's witness is one of the extremal classes
+    assert value.extremal[0] in classes.extremal
+    # the reference spends 330 000 nodes on K4^(3) at n = 7; where
+    # it stops, its bracket must still hold the value
+    want = reference_solve(n, cfg, True, node_limit=4000)
+    assert want.value <= value.value <= want.upper
+    if want.extremal_complete:
+        assert classes.extremal == want.extremal
+
+
+def links_of(s, g, frozen):
+    """The links `orbit` reads, built from scratch for (g, frozen)."""
+    _, link_bits, _, shift, _ = s.orbit_tables
+    links = [0] * s.n
+    for x in range(len(s.edges)):
+        for v, bit in link_bits[x]:
+            if g >> x & 1:
+                links[v] |= bit
+            if frozen >> x & 1:
+                links[v] |= bit << shift
+    return links
+
+
+def brute_twin_orbit(s, g, frozen, e):
+    """The orbit of edge e under the transpositions of the vertices that
+    map both g and frozen onto themselves, closed by brute force."""
+    def swap(x, u, v):
+        return tuple(sorted(v if w == u else u if w == v else w for w in x))
+
+    def mask_of(edges):
+        return sum(1 << s.index[x] for x in edges)
+
+    gs = [s.edges[x] for x in _bits(g)]
+    fs = [s.edges[x] for x in _bits(frozen)]
+    twins = [(u, v) for u, v in combinations(range(s.n), 2)
+             if mask_of(swap(x, u, v) for x in gs) == g
+             and mask_of(swap(x, u, v) for x in fs) == frozen]
+    orbit, todo = {s.edges[e]}, [s.edges[e]]
+    while todo:
+        x = todo.pop()
+        for u, v in twins:
+            y = swap(x, u, v)
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return mask_of(orbit)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([2, 3]), st.integers(3, 7), st.randoms(use_true_random=False))
+@example(2, 6, None)  # the complete graph: every edge is in one orbit
+def test_orbit_is_the_twin_group_orbit(r, n, rnd):
+    s = _Searcher(n, config_of([(complete(r, r), 1)]))
+    s.orbit_tables = s._orbit_tables()
+    m = len(s.edges)
+    if rnd is None:
+        g, frozen = s.full, 0
+    else:
+        # few distinct links, so that twins are common
+        g = sum(1 << x for x in range(m) if rnd.random() < 0.8)
+        frozen = sum(1 << x for x in _bits(g) if rnd.random() < 0.3)
+    links = links_of(s, g, frozen)
+    assert links_of(s, s.full, 0) == s.orbit_tables[4]
+    for e in _bits(g & ~frozen):
+        orb = s.orbit(e, links)
+        assert orb == brute_twin_orbit(s, g, frozen, e)
+        assert orb >> e & 1 and orb & ~(g & ~frozen) == 0
+
+
+@pytest.mark.parametrize("n, families, seed, exact", [
+    (7, ((K3, 1),), None, 12),
+    (8, ((K3, 2),), None, 19),
+    (7, ((K3, 1), (K3_ISO, 1)), None, 15),
+    (7, ((K3, 1),), join(1, empty(6, 2)), 12),  # one run above a star
+])
+def test_node_limits_give_brackets(n, families, seed, exact):
+    cfg = config_of(families)
+    limit = 1
+    while True:
+        rec = _solve(n, cfg, seed, False, limit)
+        if rec.status == "exact":
+            assert rec.value == exact and rec.nodes <= limit
+            break
+        assert rec.status == "bounds"
+        assert 0 <= rec.value <= exact <= rec.upper
+        assert rec.nodes > limit
+        limit += 1
+    assert limit > 40
+
+
+def test_orbital_search_needs_the_complete_host():
+    s = _Searcher(5, config_of([(K3, 1)]), complete(5, 2).edges[1:])
+    with pytest.raises(ValueError):
+        s.run(-1, 100, False)
+
+
+def count_orbit_tables(monkeypatch):
+    built = []
+    real = _Searcher._orbit_tables
+
+    def counted(self):
+        built.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(_Searcher, "_orbit_tables", counted)
+    return built
+
+
+def test_orbit_tables_are_built_only_by_searches(cache, monkeypatch):
+    built = count_orbit_tables(monkeypatch)
+    cfg = config_of([(K3, 2)])
+    # both passes of one enumeration share one build
+    first = enumerate_extremal(7, cfg, cache_dir=cache)
+    assert built == [7]
+    # a cache hit revalidates the stored graphs without building them
+    assert enumerate_extremal(7, cfg, cache_dir=cache) == first
+    assert max_edges(7, cfg, cache_dir=cache).value == first[0].edge_count
+    assert built == [7]
+    # generation asks only for feasibility
+    assert sum(1 for _ in free_graphs(5, cfg)) > 0
+    assert built == [7]
