@@ -364,10 +364,7 @@ def _cmd_job(args):
     results = []
     texts = []
     for i, ns in enumerate(parsed):
-        if ns.command == "verify":
-            code, inner_doc, text = _VERIFY_DISPATCH[ns.check](ns)
-        else:
-            code, inner_doc, text = _DISPATCH[ns.command](ns)
+        code, inner_doc, text = ns.handler(ns)
         worst = max(worst, code)
         results.append({"command": jobs[i]["command"], "exit": code,
                         "result": inner_doc})
@@ -385,59 +382,66 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Turán-type problems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_json(p):
+    def with_json(p, handler):
         p.add_argument("--json", action="store_true",
                        help="print a JSON document instead of text")
+        p.set_defaults(handler=handler)
         return p
 
-    p = with_json(sub.add_parser("zoo", help="build a named construction"))
+    p = with_json(sub.add_parser("zoo", help="build a named construction"),
+                  _cmd_zoo)
     p.add_argument("name")
     p.add_argument("params", nargs="*", help="key=value parameters")
     p.add_argument("-o", "--output", dest="out")
 
-    p = with_json(sub.add_parser("canon", help="canonical form of a graph"))
+    p = with_json(sub.add_parser("canon", help="canonical form of a graph"),
+                  _cmd_canon)
     p.add_argument("graph")
     p.add_argument("-o", "--output", dest="out")
 
-    p = with_json(sub.add_parser("iso", help="isomorphism decision"))
+    p = with_json(sub.add_parser("iso", help="isomorphism decision"), _cmd_iso)
     p.add_argument("a")
     p.add_argument("b")
 
-    p = with_json(sub.add_parser("nu", help="disjoint-copy number of F in H"))
+    p = with_json(sub.add_parser("nu", help="disjoint-copy number of F in H"),
+                  _cmd_nu)
     p.add_argument("f")
     p.add_argument("h")
     p.add_argument("--cap", type=int)
 
-    p = with_json(sub.add_parser("embed", help="find one copy of F in H"))
+    p = with_json(sub.add_parser("embed", help="find one copy of F in H"),
+                  _cmd_embed)
     p.add_argument("f")
     p.add_argument("h")
 
-    p = with_json(sub.add_parser("blowup", help="blow a pattern up"))
+    p = with_json(sub.add_parser("blowup", help="blow a pattern up"),
+                  _cmd_blowup)
     p.add_argument("pattern")
     p.add_argument("--parts", type=_ints, required=True)
     p.add_argument("-o", "--output", dest="out")
 
-    p = with_json(sub.add_parser("lambda-n",
-                                 help="exact best blowup size at n"))
+    p = with_json(sub.add_parser(
+        "lambda-n", help="exact best blowup size at n"), _cmd_lambda_n)
     p.add_argument("pattern")
     p.add_argument("--n", type=int, required=True)
 
-    p = with_json(sub.add_parser("lagrangian",
-                                 help="bracket the density limit"))
+    p = with_json(sub.add_parser(
+        "lagrangian", help="bracket the density limit"), _cmd_lagrangian)
     p.add_argument("pattern")
     p.add_argument("--tol", type=_fraction, default=Fraction(1, 10 ** 9))
     p.add_argument("--N", type=int, default=120)
     p.add_argument("--seed", type=int, default=0)
 
-    p = with_json(sub.add_parser("minimal",
-                                 help="certify no part is redundant"))
+    p = with_json(sub.add_parser(
+        "minimal", help="certify no part is redundant"), _cmd_minimal)
     p.add_argument("pattern")
     p.add_argument("--tol", type=_fraction, default=Fraction(1, 10 ** 9))
     p.add_argument("--N", type=int, default=120)
     p.add_argument("--seed", type=int, default=0)
 
     p = with_json(sub.add_parser("subconstruction",
-                                 help="map a graph into a pattern"))
+                                 help="map a graph into a pattern"),
+                  _cmd_subconstruction)
     p.add_argument("graph")
     p.add_argument("pattern")
 
@@ -449,31 +453,32 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = with_json(solver_flags(sub.add_parser(
-        "ex", help="exact maximum edge count")))
+        "ex", help="exact maximum edge count")), _cmd_ex)
     p = with_json(solver_flags(sub.add_parser(
-        "extremal", help="enumerate extremal graphs")))
+        "extremal", help="enumerate extremal graphs")), _cmd_extremal)
     p.add_argument("-o", "--output", dest="out", help="directory for .hg files")
 
-    p = with_json(sub.add_parser("table", help="solve a range of n"))
+    p = with_json(sub.add_parser("table", help="solve a range of n"),
+                  _cmd_table)
     p.add_argument("--family", required=True)
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
 
-    p = with_json(sub.add_parser("rainbow",
-                                 help="rainbow matching across hosts"))
+    p = with_json(sub.add_parser(
+        "rainbow", help="rainbow matching across hosts"), _cmd_rainbow)
     p.add_argument("--hosts", required=True, help="a.hg,b.hg,...")
     p.add_argument("--F", dest="f", required=True)
 
     v = sub.add_parser("verify", help="run one structured check")
     vsub = v.add_subparsers(dest="check", required=True)
 
-    p = with_json(vsub.add_parser("smoothness"))
+    p = with_json(vsub.add_parser("smoothness"), _cmd_verify_smoothness)
     p.add_argument("--family", required=True)
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--g", required=True, help='e.g. "4*C(n-1,r-2)"')
 
-    p = with_json(vsub.add_parser("boundedness"))
+    p = with_json(vsub.add_parser("boundedness"), _cmd_verify_boundedness)
     p.add_argument("--F", dest="f", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("extremal-only", "enumerate"),
@@ -481,37 +486,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f1", default="0")
     p.add_argument("--f2", default="0")
 
-    p = with_json(vsub.add_parser("main-theorem"))
+    p = with_json(vsub.add_parser("main-theorem"), _cmd_verify_main_theorem)
     p.add_argument("--F", dest="f", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = with_json(vsub.add_parser("remark-2k3"))
+    p = with_json(vsub.add_parser("remark-2k3"), _cmd_verify_remark_2k3)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = with_json(vsub.add_parser("lemmas"))
+    p = with_json(vsub.add_parser("lemmas"), _cmd_verify_lemmas)
     p.add_argument("--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--table", action="append", help="path.hg:from:to")
 
-    p = with_json(vsub.add_parser("facts"))
+    p = with_json(vsub.add_parser("facts"), _cmd_verify_facts)
     p.add_argument("--F", dest="f", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern")
 
-    p = with_json(vsub.add_parser("matching"))
+    p = with_json(vsub.add_parser("matching"), _cmd_verify_matching)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = with_json(vsub.add_parser("rainbow"))
+    p = with_json(vsub.add_parser("rainbow"), _cmd_verify_rainbow)
     p.add_argument("--F", dest="f", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int)
 
-    p = with_json(vsub.add_parser("trim"))
+    p = with_json(vsub.add_parser("trim"), _cmd_verify_trim)
     p.add_argument("--H", dest="graph", required=True)
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--pi-hat", dest="pi_hat", type=_fraction)
@@ -520,41 +525,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", dest="out",
                    help="write the trimmed graph here")
 
-    p = with_json(sub.add_parser("job", help="run a JSON job file"))
+    p = with_json(sub.add_parser("job", help="run a JSON job file"),
+                  _cmd_job)
     p.add_argument("file")
 
     return parser
-
-
-_DISPATCH = {
-    "zoo": _cmd_zoo,
-    "canon": _cmd_canon,
-    "iso": _cmd_iso,
-    "nu": _cmd_nu,
-    "embed": _cmd_embed,
-    "blowup": _cmd_blowup,
-    "lambda-n": _cmd_lambda_n,
-    "lagrangian": _cmd_lagrangian,
-    "minimal": _cmd_minimal,
-    "subconstruction": _cmd_subconstruction,
-    "ex": _cmd_ex,
-    "extremal": _cmd_extremal,
-    "table": _cmd_table,
-    "rainbow": _cmd_rainbow,
-    "job": _cmd_job,
-}
-
-_VERIFY_DISPATCH = {
-    "smoothness": _cmd_verify_smoothness,
-    "boundedness": _cmd_verify_boundedness,
-    "main-theorem": _cmd_verify_main_theorem,
-    "remark-2k3": _cmd_verify_remark_2k3,
-    "lemmas": _cmd_verify_lemmas,
-    "facts": _cmd_verify_facts,
-    "matching": _cmd_verify_matching,
-    "rainbow": _cmd_verify_rainbow,
-    "trim": _cmd_verify_trim,
-}
 
 
 def run(argv=None) -> int:
@@ -564,10 +539,7 @@ def run(argv=None) -> int:
     except SystemExit as stop:  # argparse prints its own message
         return int(stop.code or 0)
     try:
-        if args.command == "verify":
-            code, doc, text = _VERIFY_DISPATCH[args.check](args)
-        else:
-            code, doc, text = _DISPATCH[args.command](args)
+        code, doc, text = args.handler(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

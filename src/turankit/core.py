@@ -190,15 +190,7 @@ def join(t: int, g: Hypergraph) -> Hypergraph:
     meeting the apex set.  |result| = C(t+g.n, r) - C(g.n, r) + |g|."""
     if t < 0:
         raise ValueError("apex count must be nonnegative")
-    if t == 0:
-        return g
-    n = t + g.n
-    r = g.r
-    edges = [tuple(v + t for v in e) for e in g.edges]
-    for e in combinations(range(n), r):
-        if e[0] < t:
-            edges.append(e)
-    return Hypergraph(n, r, tuple(edges))
+    return general_join(complete(t, g.r), g)
 
 
 def general_join(g: Hypergraph, h: Hypergraph) -> Hypergraph:

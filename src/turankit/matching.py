@@ -26,7 +26,7 @@ All searches are exact and deterministic; hosts are limited to n <= 16
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional, Sequence
 
 from .core import Hypergraph, canonical_form
@@ -125,7 +125,8 @@ def _dfs(checks, lows, cands, host_edges):
     a = [0] * len(cands)
     used: set[int] = set()
 
-    def go(k: int):
+    # go recurses through its argument: no closure refers to itself
+    def go(again, k: int):
         if k == len(cands):
             yield a
             return
@@ -137,10 +138,10 @@ def _dfs(checks, lows, cands, host_edges):
             if all(tuple(sorted([a[p] for p in e])) in host_edges
                    for e in checks[k]):
                 used.add(w)
-                yield from go(k + 1)
+                yield from again(again, k + 1)
                 used.remove(w)
 
-    return go(0)
+    return go(go, 0)
 
 
 def _embeddings(f: Hypergraph, n: int, host_edges,
@@ -264,7 +265,8 @@ def _pack(spans, conf, marks, dead: Optional[set] = None):
     the packing found."""
     last = len(spans) - 1
 
-    def go(avail: int, fi: int = 0, need: int = spans[0][1]) -> Optional[int]:
+    def go(step, avail: int, fi: int = 0,
+           need: int = spans[0][1]) -> Optional[int]:
         # the least copy of family fi left in avail, then the rest;
         # avail already excludes every copy meeting a chosen one
         cand = avail & spans[fi][0]
@@ -274,9 +276,9 @@ def _pack(spans, conf, marks, dead: Optional[set] = None):
             c = low.bit_length() - 1
             rest = avail & -(low << 1) & ~conf[c]
             if need > 1:
-                got = step(rest, fi, need - 1)
+                got = step(step, rest, fi, need - 1)
             elif fi < last:
-                got = step(rest, fi + 1, spans[fi + 1][1])
+                got = step(step, rest, fi + 1, spans[fi + 1][1])
             else:
                 got = 0
             if got is not None:
@@ -285,21 +287,23 @@ def _pack(spans, conf, marks, dead: Optional[set] = None):
             left -= 1
         return None
 
-    # recursion goes through step: go itself, or go behind the memo, so
-    # the solver, which passes no memo, pays nothing for it
-    step = go
-    if dead is not None:
-        def step(avail: int, fi: int = 0,
-                 need: int = spans[0][1]) -> Optional[int]:
-            key = (fi, need, avail)
-            if key in dead:
-                return None
-            got = go(avail, fi, need)
-            if got is None:
-                dead.add(key)
-            return got
+    # recursion goes through the step argument, go itself or go behind the
+    # memo: the solver, which passes no memo, pays nothing for it, and no
+    # closure refers to itself, so a dropped search leaves no cycle
+    if dead is None:
+        return partial(go, go)
 
-    return step
+    def memo(step, avail: int, fi: int = 0,
+             need: int = spans[0][1]) -> Optional[int]:
+        key = (fi, need, avail)
+        if key in dead:
+            return None
+        got = go(step, avail, fi, need)
+        if got is None:
+            dead.add(key)
+        return got
+
+    return partial(memo, memo)
 
 
 def _pack_copies(tables, labels):

@@ -77,7 +77,8 @@ from typing import Optional, Sequence
 
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
-from .matching import _bits, _conflicts, _embeddings, _pack, _spans, _union
+from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
+                       _pack, _spans, _union)
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 _DEFAULT_CACHE_DIR = ".turankit-cache"
@@ -109,8 +110,9 @@ def _cache_dir(override) -> str:
 
 @dataclass(frozen=True)
 class ForbiddenConfig:
-    """Families (F_i, t_i), normalized: isomorphic F_i merged with their
-    demands summed, sorted by canonical key.  The hash is therefore
+    """Families (F_i, t_i), normalized by `matching._normalize_families`:
+    isomorphic F_i merged with their demands summed, each stored as its
+    canonical form, sorted by canonical key.  The hash is therefore
     invariant under reordering and relabeling."""
     families: tuple[tuple[Hypergraph, int], ...]
 
@@ -118,24 +120,14 @@ class ForbiddenConfig:
         if not self.families:
             raise ValueError("configuration needs at least one family")
         r = self.families[0][0].r
-        merged: dict = {}
-        order = []
-        for f, t in self.families:
+        for f, _ in self.families:
             if f.r != r:
                 raise ValueError("families must share uniformity")
-            if t < 1:
-                raise ValueError("demands must be at least 1")
             if f.edge_count == 0:
                 raise ValueError("families must have at least one edge")
-            key = canonical_form(f)
-            if key not in merged:
-                merged[key] = [f, 0]
-                order.append(key)
-            merged[key][1] += t
-        norm = sorted(((Hypergraph(k.n, k.r, k.edges), merged[k][1])
-                       for k in merged),
-                      key=lambda ft: (ft[0].n, ft[0].edges))
-        object.__setattr__(self, "families", tuple((f, t) for f, t in norm))
+        object.__setattr__(self, "families", tuple(
+            (canonical_form(f).graph(), t)
+            for f, t, _ in _normalize_families(self.families)))
 
     @property
     def r(self) -> int:
@@ -305,30 +297,29 @@ class _Searcher:
             orb &= at[k]
         return orb
 
-    def run(self, best: int, node_limit: int, enumerate_all: bool):
-        """Explore the orbital freezing tree.  Value mode: returns (best
-        value, witness mask or None).  Enumerate mode: `best` is the known
-        exact value; returns the set of canonical forms."""
+    def run(self, floor: int, node_limit: int, enumerate_all: bool):
+        """Explore the orbital freezing tree below the root, pruning every
+        node that cannot beat `floor` edges.  Value mode raises the floor
+        at each feasible leaf and returns (floor, witness mask or None);
+        enumerate mode keeps it and returns the set of canonical forms of
+        the feasible leaves."""
         if len(self.edges) != comb(self.n, self.r):
             raise ValueError("orbital branching needs the complete host")
         if self.orbit_tables is None:
             self.orbit_tables = self._orbit_tables()
         _, link_bits, _, shift, root = self.orbit_tables
         found: set = set()
-        best_mask = [None]
-        best_box = [best]
+        best_mask = None
 
         def search(g: int, frozen: int, cnt: int, alive: int, links):
+            nonlocal floor, best_mask
             self.nodes += 1
             if self.nodes > node_limit:
                 self.limit_hit = True
                 if cnt > self.skipped_upper:
                     self.skipped_upper = cnt
                 return
-            if enumerate_all:
-                if cnt < best_box[0]:
-                    return
-            elif cnt <= best_box[0]:
+            if cnt <= floor:
                 return
             w, a = g, alive  # g after the packing's deletions
             first = None
@@ -343,10 +334,7 @@ class _Searcher:
                 if first is None:
                     first = nonfrozen
                 p += 1
-                if enumerate_all:
-                    if cnt - p < best_box[0]:
-                        return
-                elif cnt - p <= best_box[0]:
+                if cnt - p <= floor:
                     return
                 w &= ~nonfrozen
                 a &= ~_union(self.kill, nonfrozen)
@@ -354,8 +342,7 @@ class _Searcher:
                 if enumerate_all:
                     found.add(canonical_form(self.graph_of(g)).graph())
                 else:
-                    best_box[0] = cnt
-                    best_mask[0] = g
+                    floor, best_mask = cnt, g
                 return
             low = first & -first
             e = low.bit_length() - 1
@@ -370,10 +357,12 @@ class _Searcher:
                     child[v] |= bit << shift
             search(g, frozen | orb, cnt, alive, child)
 
-        search(self.full, 0, len(self.edges), self.alive_in(self.full), root)
-        if enumerate_all:
-            return found
-        return best_box[0], best_mask[0]
+        try:
+            search(self.full, 0, len(self.edges), self.alive_in(self.full),
+                   root)
+        finally:
+            del search  # it refers to itself: break the cycle
+        return found if enumerate_all else (floor, best_mask)
 
 
 def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
@@ -420,7 +409,7 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
         # second pass on the same tables: collect the value's leaves,
         # with a node budget of its own
         s.nodes = 0
-        forms = s.run(value, limit, True)
+        forms = s.run(value - 1, limit, True)
         nodes += s.nodes
         complete = not s.limit_hit
         status = "exact" if complete else "bounds"

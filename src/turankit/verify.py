@@ -122,14 +122,20 @@ def parse_growth(text: str) -> GrowthFn:
 
 @dataclass(frozen=True)
 class BoundsParams:
-    """Caller-supplied stand-ins for the asymptotic constants: slack
-    functions f1/f2/g, the forbidden graph's vertex count m, and a
-    rational density stand-in pi_hat."""
+    """Caller-supplied stand-ins for the asymptotic slack functions of
+    the boundedness check: f1 widens the near-extremal average-degree
+    floor, f2 the maximum-degree cap."""
     f1: GrowthFn = GrowthFn("zero")
     f2: GrowthFn = GrowthFn("zero")
-    g: GrowthFn = GrowthFn("zero")
-    m: int = 0
-    pi_hat: Fraction = Fraction(0)
+
+
+def _exact_value(n: int, cfg, seed: Optional[Hypergraph] = None) -> int:
+    """ex(n, cfg); a bracket from a node limit is never read as a value."""
+    rec = max_edges(n, cfg, seed)
+    if rec.status != "exact":
+        raise BudgetExceededError(
+            f"node limit hit at n={n}; bounds [{rec.value}, {rec.upper}]")
+    return rec.value
 
 
 def known_density(f: Hypergraph) -> Optional[Fraction]:
@@ -174,12 +180,18 @@ def check_boundedness(f: Hypergraph, n: int, params: BoundsParams,
         raise ValueError("mode must be extremal-only or enumerate")
     cfg = config_of([(f, 1)])
     r = f.r
-    value = max_edges(n, cfg).value
+    if mode == "extremal-only":
+        extremal = enumerate_extremal(n, cfg)
+        value = extremal[0].edge_count
+    elif r != 2 or n > 8:
+        raise BudgetExceededError("enumerate mode budget is r=2, n <= 8")
+    else:
+        value = _exact_value(n, cfg)
     d_n = Fraction(r * value, n)
     cap = d_n + params.f2(n, r)
     violations = []
     if mode == "extremal-only":
-        for h in enumerate_extremal(n, cfg):
+        for h in extremal:
             prof = h.degree_profile()
             if prof.maximum > cap:
                 violations.append(Violation(
@@ -187,8 +199,6 @@ def check_boundedness(f: Hypergraph, n: int, params: BoundsParams,
                     f"max degree {prof.maximum}"))
         return _report("boundedness", {"F": f.edges, "n": n, "mode": mode,
                                        "f2": params.f2}, violations, t0)
-    if r != 2 or n > 8:
-        raise BudgetExceededError("enumerate mode budget is r=2, n <= 8")
     floor = d_n - params.f1(n, r)
     for h in free_graphs(n, cfg):
         prof = h.degree_profile()
@@ -213,21 +223,17 @@ def check_main_theorem(f: Hypergraph, n: int, t: int) -> CheckReport:
     if t < 0:
         raise ValueError("t must be nonnegative")
     r = f.r
-    base_cfg = config_of([(f, 1)])
-    base = max_edges(n - t, base_cfg)
-    base_ext = enumerate_extremal(n - t, base_cfg)
+    base_ext = enumerate_extremal(n - t, config_of([(f, 1)]))
     joined = [join(t, g) for g in base_ext]
-    predicted = comb(n, r) - comb(n - t, r) + base.value
+    predicted = comb(n, r) - comb(n - t, r) + base_ext[0].edge_count
 
-    cfg = config_of([(f, t + 1)])
-    seed = joined[0] if joined else None
-    value = max_edges(n, cfg, seed).value
+    extremal = enumerate_extremal(n, config_of([(f, t + 1)]), joined[0])
+    value = extremal[0].edge_count
     violations = []
     if value != predicted:
         violations.append(Violation(
             "(i) value", f"ex = {predicted}", f"ex = {value}"))
 
-    extremal = enumerate_extremal(n, cfg, seed)
     want = {canonical_form(g).graph() for g in joined}
     got = {canonical_form(g).graph() for g in extremal}
     if want != got:
@@ -324,11 +330,12 @@ def check_facts(f: Hypergraph, p: Optional[Pattern], n: int) -> CheckReport:
     blowup, and ex(n)-ex(n-1) caps the max degree over EX(n-1,F)."""
     t0 = time.perf_counter()
     cfg = config_of([(f, 1)])
-    value_n = max_edges(n, cfg).value
-    value_prev = max_edges(n - 1, cfg).value
-    delta = value_n - value_prev
+    extremal = enumerate_extremal(n, cfg)
+    prev = enumerate_extremal(n - 1, cfg) if p is not None else ()
+    delta = extremal[0].edge_count - (
+        prev[0].edge_count if prev else _exact_value(n - 1, cfg))
     violations = []
-    for h in enumerate_extremal(n, cfg):
+    for h in extremal:
         prof = h.degree_profile()
         if prof.minimum < delta:
             violations.append(Violation(
@@ -344,7 +351,7 @@ def check_facts(f: Hypergraph, p: Optional[Pattern], n: int) -> CheckReport:
             if embed(f, b) is not None:
                 violations.append(Violation(
                     f"blowup at {c}", "F-free", "contains F"))
-        for h in enumerate_extremal(n - 1, cfg):
+        for h in prev:
             prof = h.degree_profile()
             if prof.maximum > delta:
                 violations.append(Violation(
@@ -379,7 +386,7 @@ def check_matching_theorems(n: int, t: int, r: int) -> CheckReport:
     if clique <= n:
         seeds.append(Hypergraph(n, r, tuple(combinations(range(clique), r))))
     seed = max(seeds, key=lambda g: g.edge_count)
-    value = max_edges(n, config_of([(edge, t + 1)]), seed).value
+    value = _exact_value(n, config_of([(edge, t + 1)]), seed)
     violations = []
     if value != formula:
         violations.append(Violation(
@@ -397,10 +404,8 @@ def check_rainbow(f: Hypergraph, n: int, t: int, trials: int,
     have one; failures are hard and carry the serialized hosts."""
     t0 = time.perf_counter()
     r = f.r
-    base_cfg = config_of([(f, 1)])
-    base = max_edges(n - t, base_cfg)
-    threshold = comb(n, r) - comb(n - t, r) + base.value
-    base_ext = enumerate_extremal(n - t, base_cfg)
+    base_ext = enumerate_extremal(n - t, config_of([(f, 1)]))
+    threshold = comb(n, r) - comb(n - t, r) + base_ext[0].edge_count
     violations = []
 
     for g in base_ext:

@@ -206,6 +206,27 @@ def test_node_limit_gives_bounds_exit(files, capsys, monkeypatch, tmp_path):
         ["ex", "--n", "7", "--family", files["k4.hg"] + ":1"], capsys)
     assert code == 3
     assert text.startswith("bounds:")
+    # verify never passes on a bracket, even one whose lower end (the
+    # seed's count) equals the formula
+    code, text, err = invoke(
+        ["verify", "matching", "--n", "9", "--t", "2", "--r", "2"], capsys)
+    assert code == 3 and text == ""
+    assert err.startswith("budget exceeded:")
+
+
+def test_relabeled_families_merge(capsys, tmp_path):
+    # two labelings of the path on three vertices are one family
+    a, b = str(tmp_path / "p3a.hg"), str(tmp_path / "p3b.hg")
+    dump_hg(Hypergraph(3, 2, ((0, 1), (1, 2))), a)
+    dump_hg(Hypergraph(3, 2, ((0, 1), (0, 2))), b)
+    docs = []
+    for family in (f"{a}:1,{b}:1", f"{a}:2"):
+        code, text, _ = invoke(["ex", "--n", "6", "--family", family,
+                                "--json"], capsys)
+        assert code == 0
+        docs.append(json.loads(text))
+    assert docs[0] == docs[1]
+    assert docs[0]["value"] == 10  # K5 plus an isolated vertex
 
 
 def test_size_budget_exit(capsys, tmp_path):

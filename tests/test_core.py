@@ -103,6 +103,19 @@ def test_join_edge_count_identity(t, g):
     assert j.n == n
 
 
+@pytest.mark.parametrize("t", range(4))
+@pytest.mark.parametrize("r", [2, 3])
+def test_join_matches_the_apex_edge_loop(t, r):
+    # join is general_join with a complete apex part: the same graph as
+    # g shifted up by t plus every r-set meeting the apex set
+    cycle = tuple(tuple(sorted((i + j) % 5 for j in range(r)))
+                  for i in range(5))
+    for g in (empty(5, r), Hypergraph(5, r, cycle), complete(4, r)):
+        edges = [tuple(v + t for v in e) for e in g.edges]
+        edges += [e for e in combinations(range(t + g.n), r) if e[0] < t]
+        assert join(t, g) == Hypergraph(t + g.n, r, tuple(edges))
+
+
 def test_general_join_examples():
     k1 = complete(1, 2)
     assert general_join(k1, k1).edges == ((0, 1),)

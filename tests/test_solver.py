@@ -1,8 +1,10 @@
 """Solver tests: exact values against brute subset scans and published
 small Turán numbers, extremal enumeration, seeding, caching, bounds."""
 
+import gc
 import json
 import os
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -43,6 +45,14 @@ def test_config_normalization_merges_isomorphic():
     assert len(cfg.families) == 1
     assert cfg.families[0][1] == 3
     assert cfg.hash_hex() == ForbiddenConfig(((K3, 3),)).hash_hex()
+    # two labelings of the path on three vertices are one family too
+    p3a = Hypergraph(3, 2, ((0, 1), (1, 2)))
+    p3b = Hypergraph(3, 2, ((0, 1), (0, 2)))
+    cfg = ForbiddenConfig(((p3a, 1), (p3b, 1)))
+    assert len(cfg.families) == 1 and cfg.families[0][1] == 2
+    assert cfg.hash_hex() == ForbiddenConfig(((p3a, 2),)).hash_hex()
+    # configurations merged before keep their hashes
+    assert config_of([(K3, 1)]).hash_hex() == "76e19f39f13b48fa"
 
 
 def test_config_hash_order_and_relabel_invariant():
@@ -611,3 +621,61 @@ def test_orbit_tables_are_built_only_by_searches(cache, monkeypatch):
     # generation asks only for feasibility
     assert sum(1 for _ in free_graphs(5, cfg)) > 0
     assert built == [7]
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the recursive searches hold no reference cycles, so what they build
+    # is freed as soon as they return, without the cyclic collector
+    from turankit.matching import matching_number
+
+    cfg = config_of([(K3, 1)])
+    calls = (lambda: matching_number(K3, complete(9, 2)),
+             lambda: _solve(7, cfg, None, True, None))
+    for call in calls:
+        call()  # warm the caches the call fills
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("n, families", [
+    (7, ((K3, 1),)),
+    (8, ((K3, 2),)),
+    (6, ((complete(4, 3), 1),)),
+])
+def test_carried_links_are_the_links_of_each_node(n, families, monkeypatch):
+    # the twin test reads links carried down the tree; at every node of
+    # both passes they must be those of (g, frozen), frozen colour
+    # included (child B records the orbit it freezes)
+    searchers, nodes = [], []
+
+    class Recorded(_Searcher):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searchers.append(self)
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            loc = frame.f_locals
+            nodes.append((loc["g"], loc["frozen"], list(loc["links"])))
+
+    code = next(c for c in _Searcher.run.__code__.co_consts
+                if getattr(c, "co_name", None) == "search")
+    monkeypatch.setattr(solver, "_Searcher", Recorded)
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        rec = _solve(n, config_of(families), None, True, None)
+    finally:
+        sys.settrace(previous)
+    assert rec.status == "exact" and len(nodes) == rec.nodes
+    s, = searchers
+    for g, frozen, links in nodes:
+        assert links == links_of(s, g, frozen)

@@ -7,6 +7,7 @@ import pytest
 
 from turankit.core import Hypergraph, complete
 from turankit.errors import BudgetExceededError
+from turankit import solver
 from turankit.patterns import Pattern
 from turankit.solver import config_of, ex_table
 from turankit.verify import (
@@ -157,6 +158,22 @@ def test_main_theorem_detects_formula_failure():
     assert "(i)" in kinds and "(ii)" in kinds
 
 
+def test_main_theorem_solves_each_instance_once(monkeypatch, tmp_path):
+    # cold cache: one enumeration of EX(n-t, F) and one of the joined
+    # instance, each solving its value and classes in one call
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
+    calls = []
+    real = solver._solve
+
+    def counted(n, config, *args):
+        calls.append((n, config.families[0][1]))
+        return real(n, config, *args)
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    assert check_main_theorem(K3, 9, 1).status == "pass"
+    assert calls == [(8, 1), (9, 2)]
+
+
 # ---------------------------------------------------------------- remark
 
 
@@ -232,6 +249,15 @@ def test_matching_theorems_triples_observational_params():
     report = check_matching_theorems(7, 1, 3)
     assert report.status == "pass"
     assert report.params["r"] == 3
+
+
+def test_matching_theorems_never_read_a_bracket(monkeypatch, tmp_path):
+    # the seed's count is the bracket's lower end and equals the formula;
+    # under a node limit the check must not pass on it
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
+    monkeypatch.setenv("TURANKIT_NODE_LIMIT", "3")
+    with pytest.raises(BudgetExceededError):
+        check_matching_theorems(9, 2, 2)
 
 
 def test_matching_theorems_validation():
