@@ -16,6 +16,12 @@ and from above by max-blowup-count(N)/C(N,r) at any finite N (that ratio
 is nonincreasing in N).  The optimizer that locates good simplex points
 is the only floating-point code; its result is snapped to rationals and
 re-evaluated exactly before anything is reported.
+
+`lambda_n` finds the best blowup count by branch-and-bound over part
+sizes.  What the parts still open can add is bounded by exact maxima of
+smaller patterns: the profiles restricted to the open parts, one pattern
+per restricted size.  Their rows lambda_0..lambda_n come from the same
+search, recursively, and are memoised for the length of one call only.
 """
 
 from __future__ import annotations
@@ -121,76 +127,155 @@ def lambda_n(p: Pattern, n: int) -> tuple[int, Composition]:
             raise ValueError("positive n with no parts")
         best = (n,) + (0,) * (p.k - 1) if p.k else ()
         return 0, best
+    return _BlowupSearch(p.k, p.multisets, n, {}).best(n, -1)
 
-    mults = [p.multiplicities(y) for y in p.multisets]
-    # suffix[yi][i][R] = max over (n_i..n_k) summing to R of the partial
-    # product for profile y; summing these over y bounds any completion.
-    suffix = []
-    for mult in mults:
-        table = [[0] * (n + 1) for _ in range(p.k + 1)]
-        for R in range(n + 1):
-            table[p.k][R] = 1 if R == 0 else 0
-        for i in range(p.k - 1, -1, -1):
-            for R in range(n + 1):
-                if i == p.k - 1:
-                    table[i][R] = comb(R, mult[i])
-                else:
-                    table[i][R] = max(comb(s, mult[i]) * table[i + 1][R - s]
-                                      for s in range(R + 1))
-        suffix.append(table)
 
-    # Symmetry breaking: if swapping parts i < j maps the profile set onto
-    # itself, swapping c_i and c_j keeps the count, so the lexicographically
-    # largest maximizer has c_i >= c_j.  Each part is capped by its nearest
-    # such earlier part: two parts swappable with the same part are
-    # swappable with each other, so the chain implies every other cap.
-    profiles = set(p.multisets)
+class _BlowupSearch:
+    """The branch-and-bound behind `lambda_n` for one pattern, given as its
+    part count k and sorted profiles over parts 1..k (any common size,
+    the empty profile included), for totals up to n.
 
-    def swappable(i: int, j: int) -> bool:
-        swap = {i + 1: j + 1, j + 1: i + 1}
-        return all(tuple(sorted(swap.get(x, x) for x in y)) in profiles
-                   for y in p.multisets)
+    The walk fixes part sizes in order, largest first, so compositions
+    come in lex-descending order and only a strictly larger count
+    replaces the incumbent: the answer is the lexicographically largest
+    maximizer.  At part i, write z for a profile's restriction to parts
+    i.. and W_z for the summed partial products, over parts before i, of
+    the profiles restricting to z; the rest of the count is
+    sum_z W_z * count_z(rest), so a node carries W rather than one
+    partial product per profile.  For i >= 1 with R vertices left,
+    grouping by |z| = d bounds the rest by
+    sum_d (max_{|z|=d} W_z) * lambda_R(Z_{i,d}), where Z_{i,d} is the
+    pattern on the k - i remaining parts whose profiles are the z of size
+    d.  Each Z_{i,d} has fewer parts, so its row lambda_0..lambda_n comes
+    from this search recursively; `rows` memoises the rows by (parts,
+    profiles) for one top-level call and every user shares them."""
 
-    partner = [next((i for i in range(j - 1, -1, -1) if swappable(i, j)), None)
-               for j in range(p.k)]
+    def __init__(self, k: int, multisets, n: int, rows: dict):
+        self.k, self.n = k, n
+        self.sizes = [0] * k
+        self.mults = [tuple(y.count(part) for part in range(1, k + 1))
+                      for y in multisets]
 
-    def room(i: int) -> int:
+        # Symmetry breaking: if swapping parts i < j maps the profile set
+        # onto itself, swapping c_i and c_j keeps the count, so the
+        # lexicographically largest maximizer has c_i >= c_j.  Each part
+        # is capped by its nearest such earlier part: two parts swappable
+        # with the same part are swappable with each other, so the chain
+        # implies every other cap.
+        profiles = set(multisets)
+
+        def swappable(i: int, j: int) -> bool:
+            swap = {i + 1: j + 1, j + 1: i + 1}
+            return all(tuple(sorted(swap.get(x, x) for x in y)) in profiles
+                       for y in multisets)
+
+        self.partner = [next((i for i in range(j - 1, -1, -1)
+                              if swappable(i, j)), None) for j in range(k)]
+
+        # zs[i]: the restrictions z at part i, shifted onto parts 1..k-i,
+        # ordered by size so that each size is one slice of W
+        zs = [sorted(set(tuple(x - i for x in y if x > i) for y in multisets),
+                     key=lambda z: (len(z), z)) for i in range(k)]
+        self.width = len(zs[0])
+        # steps[i]: per z at part i, its multiplicity of part i and the
+        # index of its restriction at part i + 1
+        self.steps: list = []
+        for i in range(k - 1):
+            index = {z: t for t, z in enumerate(zs[i + 1])}
+            self.steps.append((
+                [z.count(1) for z in zs[i]],
+                [index[tuple(x - 1 for x in z if x > 1)] for z in zs[i]],
+                len(zs[i + 1])))
+        self.last = [len(z) for z in zs[k - 1]]
+        # bounds[i]: per size d, the row of Z_{i,d} and its slice of W
+        self.bounds: list = [None] * k
+        for i in range(1, k - 1):
+            by_d: dict = {}
+            for t, z in enumerate(zs[i]):
+                by_d.setdefault(len(z), []).append(t)
+            self.bounds[i] = [
+                (_row(k - i, tuple(sorted(zs[i][t] for t in ts)), n, rows),
+                 ts[0], ts[-1] + 1)
+                for ts in by_d.values()]
+
+    def count(self, c: Sequence[int]) -> int:
+        total = 0
+        for mult in self.mults:
+            term = 1
+            for size, m in zip(c, mult):
+                term *= comb(size, m)
+            total += term
+        return total
+
+    def best(self, total: int, floor: int) -> tuple[int, Composition]:
+        """The maximum count over compositions of `total` and its
+        lexicographically largest maximizer; `floor` must lie below the
+        maximum, and only counts above it are kept."""
+        self.value, self.comp = floor, ()
+        self.walk(0, total, [1] * self.width)
+        return self.value, self.comp
+
+    def room(self, i: int) -> int:
         """Most vertices parts i+1.. can take under the caps, given
         sizes[:i+1]; it only shrinks as sizes[i] does."""
-        caps = sizes[:i + 1]
-        for m in range(i + 1, p.k):
-            caps.append(n if partner[m] is None else caps[partner[m]])
+        caps = self.sizes[:i + 1]
+        for m in range(i + 1, self.k):
+            caps.append(self.n if self.partner[m] is None
+                        else caps[self.partner[m]])
         return sum(caps[i + 1:])
 
-    best_value = -1
-    best_comp: Composition = ()
-    sizes = [0] * p.k
-
-    def walk(i: int, remaining: int, partials: list[int]) -> None:
-        nonlocal best_value, best_comp
-        if i == p.k - 1:
+    def walk(self, i: int, remaining: int, weights: list[int]) -> None:
+        sizes = self.sizes
+        if i == self.k - 1:
             sizes[i] = remaining
-            value = sum(partials[yi] * comb(remaining, mults[yi][i])
-                        for yi in range(len(mults)))
-            if value > best_value:
-                best_value = value
-                best_comp = tuple(sizes)
+            value = sum(w * comb(remaining, m)
+                        for w, m in zip(weights, self.last))
+            if value > self.value:
+                self.value = value
+                self.comp = tuple(sizes)
             return
-        bound = sum(partials[yi] * suffix[yi][i][remaining]
-                    for yi in range(len(mults)))
-        if bound <= best_value:
-            return
-        top = remaining if partner[i] is None else min(remaining, sizes[partner[i]])
+        if i:
+            bound = 0
+            for row, lo, hi in self.bounds[i]:
+                bound += row[remaining] * max(weights[lo:hi])
+            if bound <= self.value:
+                return
+        mults, targets, width = self.steps[i]
+        partner = self.partner[i]
+        top = remaining if partner is None else min(remaining, sizes[partner])
         for s in range(top, -1, -1):
             sizes[i] = s
-            if room(i) < remaining - s:  # also keeps the last part capped
+            if self.room(i) < remaining - s:  # also keeps the last part capped
                 break
-            nxt = [partials[yi] * comb(s, mults[yi][i])
-                   for yi in range(len(mults))]
-            walk(i + 1, remaining - s, nxt)
+            nxt = [0] * width
+            for w, m, t in zip(weights, mults, targets):
+                nxt[t] += w * comb(s, m)
+            self.walk(i + 1, remaining - s, nxt)
 
-    walk(0, n, [1] * len(mults))
-    return best_value, best_comp
+
+def _row(k: int, multisets, n: int, rows: dict) -> list[int]:
+    """lambda_0..lambda_n of the pattern (k, multisets), memoised in
+    `rows`.  Entry R starts from the best one-vertex extension of entry
+    R - 1's maximizer: the walk keeps only counts above that extension's
+    count minus one, which the maximum reaches."""
+    key = (k, multisets)
+    if key in rows:
+        return rows[key]
+    if len(multisets[0]) <= 1:
+        # the empty profile counts 1 everywhere; a 1-uniform pattern
+        # counts R with every vertex in one of its parts
+        row = [1] * (n + 1) if not multisets[0] else list(range(n + 1))
+    else:
+        search = _BlowupSearch(k, multisets, n, rows)
+        value, comp = search.best(0, -1)
+        row = [value]
+        for total in range(1, n + 1):
+            floor = max(search.count(comp[:j] + (comp[j] + 1,) + comp[j + 1:])
+                        for j in range(k)) - 1
+            value, comp = search.best(total, floor)
+            row.append(value)
+    rows[key] = row
+    return row
 
 
 def density_poly_eval(p: Pattern, x: Sequence[Fraction]) -> Fraction:
@@ -342,9 +427,14 @@ def is_minimal(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     separation; overlapping brackets yield "indeterminate" (retry with a
     larger N) rather than a coerced answer."""
     full = lagrangian(p, tol, N, rng_seed)
+    # lagrangian is deterministic, so equal removals share one bracket
+    brackets: dict[Pattern, LagrangianEstimate] = {}
     certs = []
     for i in range(1, p.k + 1):
-        removed = lagrangian(remove_part(p, i), tol, N, rng_seed)
+        q = remove_part(p, i)
+        if q not in brackets:
+            brackets[q] = lagrangian(q, tol, N, rng_seed)
+        removed = brackets[q]
         certs.append(PartCertificate(
             part=i,
             removed=removed,
@@ -388,17 +478,22 @@ def _assignment_search(h: Hypergraph, p: Pattern):
 
     mults_exact = [list(m) for m in mults]
 
-    def place(v: int):
+    # depth first over the vertices, each trying parts 1..k in order;
+    # assign[v] is the part vertex v holds, 0 before its first try
+    v = 0
+    while v >= 0:
         if v == h.n:
             yield tuple(assign)
-            return
-        for part in range(1, p.k + 1):
+            v -= 1
+            continue
+        for part in range(assign[v] + 1, p.k + 1):
             assign[v] = part
             if all(edge_ok(ei, v) for ei in incident[v]):
-                yield from place(v + 1)
-        assign[v] = 0
-
-    yield from place(0)
+                v += 1
+                break
+        else:
+            assign[v] = 0
+            v -= 1
 
 
 def is_subconstruction(h: Hypergraph, p: Pattern) -> Optional[tuple[int, ...]]:

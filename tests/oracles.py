@@ -609,7 +609,8 @@ def brute_chromatic(g: Hypergraph) -> int:
 
 def reference_lambda_n(p, n: int) -> tuple:
     """`patterns.lambda_n` before symmetry breaking: a lex-descending walk
-    over every composition of n, pruned only by per-profile suffix maxima.
+    over every composition of n, pruned only by per-profile suffix maxima,
+    the bound `lambda_n` used until it switched to exact sub-pattern rows.
     Returns the same (value, lexicographically largest maximizer)."""
     if p.k == 0 or not p.multisets:
         return 0, ((n,) + (0,) * (p.k - 1) if p.k else ())

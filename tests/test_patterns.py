@@ -3,11 +3,13 @@
 Brute-force oracles used here: direct profile filtering for blowup edge
 sets, exhaustive composition enumeration for the finite maxima, and
 closed-form densities at known optima.  `lambda_n` is also checked
-against its pre-symmetry-breaking walk kept in `oracles`.
+against its pre-symmetry-breaking walk kept in `oracles`, which prunes
+with per-profile suffix maxima instead of exact sub-pattern rows.
 """
 
+import gc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -17,10 +19,11 @@ from oracles import reference_lambda_n
 
 from turankit.core import Hypergraph, complete, empty
 from turankit.errors import BudgetExceededError, FormatError
+import turankit.patterns as patterns
 from turankit.patterns import (
-    LagrangianEstimate, Pattern, blowup, blowup_count, density_poly_eval,
-    dumps_pat, full_construction_assignment, is_minimal, is_subconstruction,
-    lagrangian, lambda_n, loads_pat, remove_part,
+    LagrangianEstimate, Pattern, _assignment_search, blowup, blowup_count,
+    density_poly_eval, dumps_pat, full_construction_assignment, is_minimal,
+    is_subconstruction, lagrangian, lambda_n, loads_pat, remove_part,
 )
 from turankit.zoo import bipartite3, semibipartite, turan
 
@@ -33,6 +36,14 @@ B3_PAT = Pattern(2, 3, ((1, 1, 2), (1, 2, 2)))
 def kl_pattern(l):
     return Pattern(l, 2, tuple((i, j) for i in range(1, l + 1)
                                for j in range(i + 1, l + 1)))
+
+
+def all_profiles(k, r, *missing):
+    """Every r-multiset of parts 1..k except `missing`: blowups are
+    complete or nearly so, and many compositions tie."""
+    return Pattern(k, r, tuple(y for y in
+                               combinations_with_replacement(range(1, k + 1), r)
+                               if y not in missing))
 
 
 def compositions(n, k):
@@ -124,6 +135,18 @@ def test_lambda_matches_reference_walk():
     for p in [S3, B4_EVEN] + [kl_pattern(l) for l in range(2, 6)]:
         for n in range(36):
             assert lambda_n(p, n) == reference_lambda_n(p, n)
+
+
+def test_lambda_pins_at_n_120():
+    # the largest clique the budget allows; the asymmetric pattern has
+    # no swappable parts, so no symmetry cap prunes its walk
+    assert lambda_n(kl_pattern(6), 120) == (6000, (20,) * 6)
+    # parts 1, 2, 4, 5 span the only K4, so the count is the Turán
+    # number t(120, 4) (the suffix-bound walk agrees, in minutes)
+    asymmetric = Pattern(6, 2, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                                (2, 3), (2, 4), (2, 5), (4, 5), (4, 6)))
+    assert lambda_n(asymmetric, 120) == (5400, (30, 30, 0, 30, 30, 0))
+    assert turan(120, 4, 2).edge_count == 5400
 
 
 def test_lambda_unbalanced_optimum():
@@ -221,6 +244,29 @@ def test_remove_part_examples():
         remove_part(MANTEL, 3)
 
 
+def test_minimality_solves_each_distinct_removal_once(monkeypatch):
+    asked = []
+    solve = patterns.lagrangian
+
+    def counted(q, *args):
+        asked.append(q)
+        return solve(q, *args)
+
+    monkeypatch.setattr(patterns, "lagrangian", counted)
+    # every part of K5 leaves K4
+    report = is_minimal(kl_pattern(5))
+    assert asked == [kl_pattern(5), kl_pattern(4)]
+    assert [c.removed for c in report.parts] == [solve(kl_pattern(4))] * 5
+    assert report.status == "minimal"
+    # three different removals are three solves
+    path = Pattern(3, 2, ((1, 2), (2, 3), (3, 3)))
+    asked.clear()
+    report = is_minimal(path)
+    assert asked == [path] + [remove_part(path, i) for i in (1, 2, 3)]
+    assert [c.removed for c in report.parts] == [
+        solve(remove_part(path, i)) for i in (1, 2, 3)]
+
+
 def test_minimality_verdicts():
     assert is_minimal(MANTEL).status == "minimal"
     assert is_minimal(S3).status == "minimal"
@@ -259,6 +305,39 @@ def test_subconstruction_budget():
         is_subconstruction(empty(25, 2), MANTEL)
 
 
+def test_assignment_search_lists_admissible_maps_in_order():
+    # depth first with parts 1..k per vertex is lexicographic order
+    cases = [(turan(6, 2, 2), MANTEL), (complete(3, 2), MANTEL),
+             (bipartite3(5), B3_PAT), (empty(3, 2), kl_pattern(3)),
+             (empty(0, 2), MANTEL), (empty(2, 2), Pattern(0, 2, ()))]
+    for h, p in cases:
+        admissible = set(p.multisets)
+        want = [a for a in product(range(1, p.k + 1), repeat=h.n)
+                if all(tuple(sorted(a[v] for v in e)) in admissible
+                       for e in h.edges)]
+        assert list(_assignment_search(h, p)) == want
+
+
+def test_pattern_searches_leave_no_cyclic_garbage():
+    # no search closure refers to itself, so what a call builds is freed
+    # on return, without the cyclic collector
+    k3 = kl_pattern(3)
+    host = turan(9, 3, 2)
+    calls = (lambda: lambda_n(k3, 30), lambda: lagrangian(k3),
+             lambda: is_minimal(k3), lambda: is_subconstruction(host, k3),
+             lambda: full_construction_assignment(host, k3))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_full_construction_recognition():
     t = turan(6, 2, 2)
     assert full_construction_assignment(t, MANTEL) == (1, 1, 1, 2, 2, 2)
@@ -291,8 +370,8 @@ def test_pat_format_errors():
 
 
 @st.composite
-def small_patterns(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
+def small_patterns(draw, min_k=1, max_k=4):
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
     r = draw(st.integers(min_value=1, max_value=3))
     pool = list(combinations_with_replacement(range(1, k + 1), r))
     chosen = draw(st.lists(st.sampled_from(pool), min_size=0,
@@ -310,6 +389,23 @@ def small_patterns(draw):
 @given(small_patterns(), st.integers(min_value=0, max_value=8))
 def test_lambda_brute_property(p, n):
     assert lambda_n(p, n) == brute_lambda(p, n)
+
+
+# Sizes where the sub-pattern rows prune, against the suffix-bound walk.
+# The examples tie widely, in the pattern or only in a sub-pattern, so
+# the rows' seeded walks must still keep the lexicographically largest
+# maximizer: all pairs on 3 parts; parts 2 and 3 all pairs with part 1
+# idle; all pairs but (1, 1), where part 1 takes one vertex; the same
+# for triples; and K3 beside a complete part.
+@example(all_profiles(3, 2), 24)
+@example(Pattern(3, 2, ((2, 2), (2, 3), (3, 3))), 24)
+@example(all_profiles(4, 2, (1, 1)), 24)
+@example(all_profiles(3, 3, (1, 1, 1)), 20)
+@example(Pattern(4, 2, ((1, 2), (1, 3), (2, 3), (4, 4))), 23)
+@settings(max_examples=100)
+@given(small_patterns(min_k=3, max_k=5), st.integers(min_value=9, max_value=24))
+def test_lambda_matches_reference_walk_property(p, n):
+    assert lambda_n(p, n) == reference_lambda_n(p, n)
 
 
 @given(small_patterns())
