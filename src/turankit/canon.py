@@ -46,13 +46,17 @@ class Scan(NamedTuple):
     edges: tuple[Edge, ...]
 
 
-def _refine(n: int, incident: Sequence[Sequence[Edge]], cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by incidence signatures until the partition is stable."""
-    while True:
+def _refine(n: int, edges: Sequence[Edge], incident: Sequence[Sequence[int]],
+            cells: list[list[int]]) -> list[list[int]]:
+    """Split cells by incidence signatures until the partition is stable:
+    a vertex's signature is the sorted list of the cell codes of its edges
+    (`incident` holds edge indices), all taken from the round's partition."""
+    while len(cells) < n:
         cell_of = [0] * n
         for ci, cell in enumerate(cells):
             for v in cell:
                 cell_of[v] = ci
+        codes = [tuple(sorted([cell_of[u] for u in e])) for e in edges]
         new_cells: list[list[int]] = []
         changed = False
         for cell in cells:
@@ -61,7 +65,7 @@ def _refine(n: int, incident: Sequence[Sequence[Edge]], cells: list[list[int]]) 
                 continue
             buckets: dict[tuple, list[int]] = {}
             for v in cell:
-                sig = tuple(sorted(tuple(sorted(cell_of[u] for u in e)) for e in incident[v]))
+                sig = tuple(sorted([codes[i] for i in incident[v]]))
                 buckets.setdefault(sig, []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
@@ -71,7 +75,8 @@ def _refine(n: int, incident: Sequence[Sequence[Edge]], cells: list[list[int]]) 
                     new_cells.append(sorted(buckets[sig]))
         cells = new_cells
         if not changed:
-            return cells
+            break
+    return cells
 
 
 class _OrbitOracle:
@@ -103,28 +108,29 @@ class _OrbitOracle:
         return any(self._find(u) == rv for u in others)
 
 
-def _twin_transpositions(n: int, edges: Sequence[Edge],
-                         incident: Sequence[Sequence[Edge]]) -> list[tuple[int, ...]]:
+def _twin_transpositions(n: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
     """Automorphisms that are free to detect: transpositions (u v) whose
-    swap maps the edge set onto itself."""
-    edge_set = set(edges)
-
-    def swaps_ok(u: int, v: int) -> bool:
-        for w, x in ((u, v), (v, u)):
-            for e in incident[w]:
-                if x in e:
-                    continue
-                if tuple(sorted(x if y == w else y for y in e)) not in edge_set:
-                    return False
-        return True
-
+    swap maps the edge set onto itself.  With link(w) the bitsets of the
+    (r-1)-sets e - w over the edges e at w, the swap is one exactly when
+    every set in link(u) ^ link(v) contains u or v: a set of link(u)
+    holding v comes from an edge through both, which the swap fixes, and
+    every other set of either link must lie in the other."""
+    links: list[set[int]] = [set() for _ in range(n)]
+    for e in edges:
+        whole = 0
+        for v in e:
+            whole |= 1 << v
+        for v in e:
+            links[v].add(whole ^ (1 << v))
     out = []
     for u in range(n):
         for v in range(u + 1, n):
-            if len(incident[u]) == len(incident[v]) and swaps_ok(u, v):
-                g = list(range(n))
-                g[u], g[v] = v, u
-                out.append(tuple(g))
+            if len(links[u]) == len(links[v]):
+                uv = (1 << u) | (1 << v)
+                if all(s & uv for s in links[u] ^ links[v]):
+                    g = list(range(n))
+                    g[u], g[v] = v, u
+                    out.append(tuple(g))
     return out
 
 
@@ -136,15 +142,15 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
         adjacent = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
                          for i in range(n - 1))
         return Scan(adjacent, tuple(range(n)), ())
-    incident: list[list[Edge]] = [[] for _ in range(n)]
-    for e in edges:
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
         for v in e:
-            incident[v].append(e)
+            incident[v].append(i)
 
     best_edges: Optional[tuple[Edge, ...]] = None
     best_perm: Optional[tuple[int, ...]] = None
     leaf_seen: dict[tuple[Edge, ...], tuple[int, ...]] = {}
-    generators = _twin_transpositions(n, edges, incident)
+    generators = _twin_transpositions(n, edges)
     gen_set = set(generators)
 
     def visit_leaf(cells: list[list[int]]) -> None:
@@ -169,7 +175,7 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
             best_perm = tuple(perm)
 
     def search(cells: list[list[int]], base: tuple[int, ...]) -> None:
-        cells = _refine(n, incident, cells)
+        cells = _refine(n, edges, incident, cells)
         target = -1
         size = n + 1
         for idx, cell in enumerate(cells):
@@ -180,10 +186,14 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
             visit_leaf(cells)
             return
         explored: list[int] = []
+        oracle, known = None, -1  # rebuilt only when generators grow
         for v in cells[target]:
-            if explored and _OrbitOracle(n, generators, base).same(v, explored):
-                explored.append(v)
-                continue
+            if explored:
+                if known < len(generators):
+                    oracle, known = _OrbitOracle(n, generators, base), len(generators)
+                if oracle.same(v, explored):
+                    explored.append(v)
+                    continue
             rest = [u for u in cells[target] if u != v]
             child = cells[:target] + [[v], rest] + cells[target + 1:]
             search(child, base + (v,))

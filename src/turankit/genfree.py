@@ -17,6 +17,10 @@ Both filters read one `canon.refinement_scan` per graph: its generators
 generate the automorphism group, and its least-leaf relabeled edge list
 is an isomorphism invariant, so the chosen orbit does not depend on the
 labeling.  An accepted child's scan is reused as its own parent scan.
+Most children fail the child side on degrees alone, which the parent's
+degrees decide before the child is built or checked for feasibility
+(`_degree_rule`); the children that pass take their degrees from the
+parent's.
 Feasibility (no forbidden realization) is downward closed, so the tree
 never needs to look above an infeasible graph.  Everything is
 deterministic; one graph per isomorphism class is yielded in the
@@ -46,13 +50,9 @@ def _orbit(s: tuple, generators) -> set:
     return orbit
 
 
-def _vertex_profiles(n: int, edges: tuple):
-    """Per-vertex invariant: degree plus the sorted degree-profiles of
-    incident edges."""
-    deg = [0] * n
-    for e in edges:
-        for v in e:
-            deg[v] += 1
+def _vertex_profiles(n: int, edges: tuple, deg: list):
+    """Per-vertex invariant: degree (`deg`, the graph's degrees) plus the
+    sorted degree-profiles of incident edges."""
     prof = [[] for _ in range(n)]
     for e in edges:
         shape = tuple(sorted(deg[v] for v in e))
@@ -77,10 +77,33 @@ def _orbit_representatives(candidates: list, generators) -> list:
     return reps
 
 
-def _is_canonical_addition(n: int, edges: tuple, added: tuple) -> Optional[Scan]:
+def _degree_rule(deg: list):
+    """For a graph with degrees `deg`, a test that is true of a candidate
+    r-set e only when the child adding e fails the child-side test.  The
+    child fails it when a vertex w outside e has 0 < deg(w) <= min deg
+    over e: w keeps its degree in the child, below every degree of e
+    there, and an invariant starts with its set's least degree, so an
+    edge at w has a smaller invariant than e."""
+    # at_most[d]: the vertices of positive degree at most d
+    at_most = [0] * (max(deg, default=0) + 1)
+    for d in deg:
+        if d:
+            at_most[d] += 1
+    for d in range(1, len(at_most)):
+        at_most[d] += at_most[d - 1]
+
+    def rejects(e: tuple) -> bool:
+        least = min(deg[v] for v in e)
+        return at_most[least] > sum(1 for v in e if 0 < deg[v] <= least)
+
+    return rejects
+
+
+def _is_canonical_addition(n: int, edges: tuple, added: tuple,
+                           deg: list) -> Optional[Scan]:
     """The graph's scan if `added` lies in its canonical-deletion orbit,
-    else None."""
-    profiles = _vertex_profiles(n, edges)
+    else None; `deg` holds the graph's degrees."""
+    profiles = _vertex_profiles(n, edges, deg)
     inv_added = _set_invariant(profiles, added)
     tied = []
     for e in edges:
@@ -104,20 +127,27 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
     s = _Searcher(n, config)
     universe = s.edges
 
-    def visit(mask: int, edges: tuple, scan: Scan) -> Iterator[Hypergraph]:
+    def visit(mask: int, edges: tuple, scan: Scan,
+              deg: list) -> Iterator[Hypergraph]:
         yield Hypergraph(n, s.r, edges)
         present = set(edges)
         candidates = [e for e in universe if e not in present]
+        rejects = _degree_rule(deg)
         for e in _orbit_representatives(candidates, scan.generators):
+            if rejects(e):
+                continue
             child_mask = mask | (1 << s.index[e])
             if not s.is_feasible(child_mask):
                 continue
             child_edges = tuple(sorted(edges + (e,)))
-            child_scan = _is_canonical_addition(n, child_edges, e)
+            child_deg = list(deg)
+            for v in e:
+                child_deg[v] += 1
+            child_scan = _is_canonical_addition(n, child_edges, e, child_deg)
             if child_scan is not None:
-                yield from visit(child_mask, child_edges, child_scan)
+                yield from visit(child_mask, child_edges, child_scan, child_deg)
 
-    yield from visit(0, (), refinement_scan(n, ()))
+    yield from visit(0, (), refinement_scan(n, ()), [0] * n)
 
 
 def count_free(n: int, config: ForbiddenConfig) -> int:

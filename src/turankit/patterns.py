@@ -171,6 +171,18 @@ class _BlowupSearch:
 
         self.partner = [next((i for i in range(j - 1, -1, -1)
                               if swappable(i, j)), None) for j in range(k)]
+        # later[i]: of the parts after i, how many no cap reaches, and per
+        # part j <= i how many are capped by sizes[j] through the chain
+        self.later: list = []
+        for i in range(k):
+            root: dict = {}
+            per = [0] * (i + 1)
+            for m in range(i + 1, k):
+                p = self.partner[m]
+                root[m] = p if p is None or p <= i else root[p]
+                if root[m] is not None:
+                    per[root[m]] += 1
+            self.later.append((k - 1 - i - sum(per), per))
 
         # zs[i]: the restrictions z at part i, shifted onto parts 1..k-i,
         # ordered by size so that each size is one slice of W
@@ -215,15 +227,6 @@ class _BlowupSearch:
         self.walk(0, total, [1] * self.width)
         return self.value, self.comp
 
-    def room(self, i: int) -> int:
-        """Most vertices parts i+1.. can take under the caps, given
-        sizes[:i+1]; it only shrinks as sizes[i] does."""
-        caps = self.sizes[:i + 1]
-        for m in range(i + 1, self.k):
-            caps.append(self.n if self.partner[m] is None
-                        else caps[self.partner[m]])
-        return sum(caps[i + 1:])
-
     def walk(self, i: int, remaining: int, weights: list[int]) -> None:
         sizes = self.sizes
         if i == self.k - 1:
@@ -243,9 +246,14 @@ class _BlowupSearch:
         mults, targets, width = self.steps[i]
         partner = self.partner[i]
         top = remaining if partner is None else min(remaining, sizes[partner])
+        # the most vertices parts i+1.. can take under the caps is
+        # fixed + through * sizes[i]: it only shrinks as sizes[i] does
+        free, per = self.later[i]
+        fixed = free * self.n + sum(c * z for c, z in zip(per, sizes[:i]))
+        through = per[i]
         for s in range(top, -1, -1):
             sizes[i] = s
-            if self.room(i) < remaining - s:  # also keeps the last part capped
+            if fixed + through * s < remaining - s:  # also keeps the last part capped
                 break
             nxt = [0] * width
             for w, m, t in zip(weights, mults, targets):

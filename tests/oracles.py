@@ -6,8 +6,9 @@ cross-check each other.  The copy-enumerator references share only the
 package's static pattern order, so that their output order can be
 compared exactly; the packing references share the package's copy
 tables and family normalization, so that witnesses compare exactly; the
-generation reference shares the package's feasibility check and
-vertex-profile invariant; the freezing-search reference shares the
+generation references share the package's feasibility check and orbit
+helpers, and keep their own vertex-profile invariant; the scan reference
+shares only the orbit oracle; the freezing-search reference shares the
 solver's copy tables and realization kernel.  Budgets: n <= 7 for
 relabeling scans, small edge counts for packing enumeration.
 """
@@ -16,14 +17,16 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import comb
+from typing import Iterator, Optional, Sequence
 
+from turankit.canon import Edge, Scan, _OrbitOracle
 from turankit.core import Hypergraph, canonical_form
-from turankit.genfree import _set_invariant, _vertex_profiles
+from turankit.genfree import _orbit, _orbit_representatives
 from turankit.matching import (
     MatchingWitness, WitnessEntry, _copies, _edge_checks, _normalize_families,
     _pattern_order, _union,
 )
-from turankit.solver import TuranRecord, _Searcher
+from turankit.solver import ForbiddenConfig, TuranRecord, _Searcher
 
 
 # -- tiny independent constructors (used to cross-check zoo) -----------
@@ -497,6 +500,198 @@ def reference_rainbow_matching(hosts, f: Hypergraph):
     return MatchingWitness(tuple(chosen)) if place(0, 0) else None
 
 
+# -- the phase-1 scan and generation before the degree rule ------------
+
+
+def _reference_refine(n: int, incident: Sequence[Sequence[Edge]],
+                      cells: list[list[int]]) -> list[list[int]]:
+    """Split cells by incidence signatures until the partition is stable."""
+    while True:
+        cell_of = [0] * n
+        for ci, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = ci
+        new_cells: list[list[int]] = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets: dict[tuple, list[int]] = {}
+            for v in cell:
+                sig = tuple(sorted(tuple(sorted(cell_of[u] for u in e)) for e in incident[v]))
+                buckets.setdefault(sig, []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(buckets):
+                    new_cells.append(sorted(buckets[sig]))
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def _reference_twin_transpositions(n: int, edges: Sequence[Edge],
+                                   incident: Sequence[Sequence[Edge]]) -> list[tuple[int, ...]]:
+    """Automorphisms that are free to detect: transpositions (u v) whose
+    swap maps the edge set onto itself."""
+    edge_set = set(edges)
+
+    def swaps_ok(u: int, v: int) -> bool:
+        for w, x in ((u, v), (v, u)):
+            for e in incident[w]:
+                if x in e:
+                    continue
+                if tuple(sorted(x if y == w else y for y in e)) not in edge_set:
+                    return False
+        return True
+
+    out = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if len(incident[u]) == len(incident[v]) and swaps_ok(u, v):
+                g = list(range(n))
+                g[u], g[v] = v, u
+                out.append(tuple(g))
+    return out
+
+
+def reference_refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
+    """`canon.refinement_scan` before its refinement coded each edge once
+    per round and its search reused orbit oracles: automorphism generators
+    and the least leaf of the refinement tree, seeded with the twin
+    transpositions."""
+    if not edges:
+        # Aut is every permutation: the adjacent transpositions generate it
+        adjacent = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
+                         for i in range(n - 1))
+        return Scan(adjacent, tuple(range(n)), ())
+    incident: list[list[Edge]] = [[] for _ in range(n)]
+    for e in edges:
+        for v in e:
+            incident[v].append(e)
+
+    best_edges: Optional[tuple[Edge, ...]] = None
+    best_perm: Optional[tuple[int, ...]] = None
+    leaf_seen: dict[tuple[Edge, ...], tuple[int, ...]] = {}
+    generators = _reference_twin_transpositions(n, edges, incident)
+    gen_set = set(generators)
+
+    def visit_leaf(cells: list[list[int]]) -> None:
+        nonlocal best_edges, best_perm
+        perm = [0] * n
+        for pos, cell in enumerate(cells):
+            perm[cell[0]] = pos
+        relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
+        prev = leaf_seen.get(relabeled)
+        if prev is None:
+            leaf_seen[relabeled] = tuple(perm)
+        else:
+            inv_prev = [0] * n
+            for v in range(n):
+                inv_prev[prev[v]] = v
+            gamma = tuple(inv_prev[perm[v]] for v in range(n))
+            if gamma not in gen_set and any(gamma[v] != v for v in range(n)):
+                gen_set.add(gamma)
+                generators.append(gamma)
+        if best_edges is None or relabeled < best_edges:
+            best_edges = relabeled
+            best_perm = tuple(perm)
+
+    def search(cells: list[list[int]], base: tuple[int, ...]) -> None:
+        cells = _reference_refine(n, incident, cells)
+        target = -1
+        size = n + 1
+        for idx, cell in enumerate(cells):
+            if 1 < len(cell) < size:
+                target = idx
+                size = len(cell)
+        if target < 0:
+            visit_leaf(cells)
+            return
+        explored: list[int] = []
+        for v in cells[target]:
+            if explored and _OrbitOracle(n, generators, base).same(v, explored):
+                explored.append(v)
+                continue
+            rest = [u for u in cells[target] if u != v]
+            child = cells[:target] + [[v], rest] + cells[target + 1:]
+            search(child, base + (v,))
+            explored.append(v)
+
+    try:
+        search([list(range(n))], ())
+    finally:
+        del search  # it refers to itself: break the cycle, free the scan
+    assert best_perm is not None and best_edges is not None
+    return Scan(tuple(generators), best_perm, best_edges)
+
+
+def _reference_vertex_profiles(n: int, edges: tuple):
+    """Per-vertex invariant: degree plus the sorted degree-profiles of
+    incident edges."""
+    deg = [0] * n
+    for e in edges:
+        for v in e:
+            deg[v] += 1
+    prof = [[] for _ in range(n)]
+    for e in edges:
+        shape = tuple(sorted(deg[v] for v in e))
+        for v in e:
+            prof[v].append(shape)
+    return [(deg[v], tuple(sorted(prof[v]))) for v in range(n)]
+
+
+def _reference_set_invariant(profiles, s: tuple):
+    return tuple(sorted(profiles[v] for v in s))
+
+
+def _reference_is_canonical_addition(n: int, edges: tuple, added: tuple) -> Optional[Scan]:
+    """The graph's scan if `added` lies in its canonical-deletion orbit,
+    else None."""
+    profiles = _reference_vertex_profiles(n, edges)
+    inv_added = _reference_set_invariant(profiles, added)
+    tied = []
+    for e in edges:
+        inv = _reference_set_invariant(profiles, e)
+        if inv < inv_added:
+            return None
+        if inv == inv_added:
+            tied.append(e)
+    scan = reference_refinement_scan(n, edges)
+    if len(tied) > 1:
+        perm = scan.perm
+        least = min(tied, key=lambda e: sorted(perm[v] for v in e))
+        if added not in _orbit(least, scan.generators):
+            return None
+    return scan
+
+
+def reference_scan_free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
+    """`genfree.free_graphs` before the degree rule: every child passes
+    the feasibility check and then the full invariant test, whose vertex
+    profiles are recounted from scratch; the scans are the reference
+    scans."""
+    s = _Searcher(n, config)
+    universe = s.edges
+
+    def visit(mask: int, edges: tuple, scan: Scan) -> Iterator[Hypergraph]:
+        yield Hypergraph(n, s.r, edges)
+        present = set(edges)
+        candidates = [e for e in universe if e not in present]
+        for e in _orbit_representatives(candidates, scan.generators):
+            child_mask = mask | (1 << s.index[e])
+            if not s.is_feasible(child_mask):
+                continue
+            child_edges = tuple(sorted(edges + (e,)))
+            child_scan = _reference_is_canonical_addition(n, child_edges, e)
+            if child_scan is not None:
+                yield from visit(child_mask, child_edges, child_scan)
+
+    yield from visit(0, (), reference_refinement_scan(n, ()))
+
+
 # -- isomorph-free generation before the phase-1 scan ---------------------
 
 
@@ -518,10 +713,10 @@ def reference_free_graphs(n: int, config):
     s = _Searcher(n, config)
 
     def orbit_representatives(edges, candidates):
-        profiles = _vertex_profiles(n, edges)
+        profiles = _reference_vertex_profiles(n, edges)
         groups: dict = {}
         for c in candidates:
-            groups.setdefault(_set_invariant(profiles, c), []).append(c)
+            groups.setdefault(_reference_set_invariant(profiles, c), []).append(c)
         reps = []
         for group in groups.values():
             seen = set()
@@ -533,9 +728,9 @@ def reference_free_graphs(n: int, config):
         return sorted(reps)
 
     def is_canonical_addition(edges, added):
-        profiles = _vertex_profiles(n, edges)
-        invs = [_set_invariant(profiles, e) for e in edges]
-        inv_added = _set_invariant(profiles, added)
+        profiles = _reference_vertex_profiles(n, edges)
+        invs = [_reference_set_invariant(profiles, e) for e in edges]
+        inv_added = _reference_set_invariant(profiles, added)
         if min(invs) < inv_added:
             return False
         tied = [e for e, inv in zip(edges, invs) if inv == inv_added]

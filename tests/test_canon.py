@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from turankit.canon import canonical_labeling, refinement_scan
 from turankit.core import Hypergraph, complete, disjoint_union, empty, join
 
-from oracles import automorphism_count, group_order, relabel
+from oracles import (
+    automorphism_count, group_order, reference_refinement_scan, relabel,
+)
 
 # graphs whose automorphisms are mostly twin swaps or every permutation
 SYMMETRIC = [
@@ -54,6 +56,18 @@ def test_generators_generate_aut_on_symmetric_graphs():
 @given(small_hypergraphs())
 def test_generators_generate_aut(g):
     check_generators(g)
+
+
+def test_scan_matches_reference_on_symmetric_graphs():
+    for g in SYMMETRIC:
+        assert refinement_scan(g.n, g.edges) == reference_refinement_scan(g.n, g.edges)
+
+
+@settings(max_examples=200)
+@given(small_hypergraphs(max_n=8))
+def test_scan_matches_reference(g):
+    # the same generators in the same order, the same least leaf
+    assert refinement_scan(g.n, g.edges) == reference_refinement_scan(g.n, g.edges)
 
 
 @settings(max_examples=100)

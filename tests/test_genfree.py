@@ -3,8 +3,9 @@
 The independent recount oracle below shares no code with the engine: it
 grows graphs breadth-first and deduplicates classes by brute-force
 least relabeling over the degree-sorting relabelings, with feasibility
-from the exhaustive config check.  The differential test compares the
-engine with its marked-canonical-form predecessor.
+from the exhaustive config check.  The differential tests compare the
+engine with its marked-canonical-form predecessor, class by class, and
+with its predecessor before the degree rule, graph by graph.
 """
 
 from itertools import combinations
@@ -12,14 +13,20 @@ from itertools import combinations
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    _reference_set_invariant,
+    _reference_vertex_profiles,
     brute_has_config,
     degree_sorted_relabeling,
     min_relabeling,
     reference_free_graphs,
+    reference_scan_free_graphs,
 )
 
+from turankit import genfree
 from turankit.core import Hypergraph, canonical_form, complete
-from turankit.genfree import count_free, free_graphs
+from turankit.genfree import (
+    _degree_rule, _is_canonical_addition, count_free, free_graphs,
+)
 from turankit.solver import config_of
 
 K3 = complete(3, 2)
@@ -127,6 +134,62 @@ def test_matches_marked_form_reference(case):
     reference = [canonical_form(g).edges for g in reference_free_graphs(n, cfg)]
     assert len(set(engine)) == len(engine)
     assert set(engine) == set(reference)
+
+
+@settings(max_examples=30)
+@given(small_configs())
+def test_matches_scan_reference_exactly(case):
+    # the same graphs, labels and order as before the degree rule
+    n, cfg = case
+    engine = [g.edges for g in free_graphs(n, cfg)]
+    assert engine == [g.edges for g in reference_scan_free_graphs(n, cfg)]
+
+
+def test_matches_scan_reference_exactly_triangle_free_eight():
+    cfg = config_of([(K3, 1)])
+    engine = [g.edges for g in free_graphs(8, cfg)]
+    assert len(engine) == TRIANGLE_FREE_COUNTS[8]
+    assert engine == [g.edges for g in reference_scan_free_graphs(8, cfg)]
+
+
+def test_pinned_scan_count(monkeypatch):
+    # one scan per accepted graph plus one per child that reaches the
+    # full test and fails it (416 before the degree rule: the rule only
+    # drops children that fail before their scan)
+    calls = []
+    scan = genfree.refinement_scan
+
+    def counted(n, edges):
+        calls.append(n)
+        return scan(n, edges)
+
+    monkeypatch.setattr(genfree, "refinement_scan", counted)
+    assert count_free(8, config_of([(K3, 1)])) == TRIANGLE_FREE_COUNTS[8]
+    assert len(calls) == 416
+
+
+def test_degree_rule_rejects_only_failing_children():
+    # every candidate the rule drops fails the full child-side test: some
+    # edge of the child has a smaller invariant than the added one
+    rejected = 0
+    for n, r, families in ([(n, 2, [(K3, 1)]) for n in range(2, 8)]
+                           + [(n, 3, [(complete(6, 3), 1)]) for n in range(3, 6)]):
+        for g in free_graphs(n, config_of(families)):
+            deg = [sum(v in e for e in g.edges) for v in range(n)]
+            rejects = _degree_rule(deg)
+            present = set(g.edges)
+            for e in combinations(range(n), r):
+                if e in present or not rejects(e):
+                    continue
+                rejected += 1
+                child = tuple(sorted(g.edges + (e,)))
+                child_deg = [d + (v in e) for v, d in enumerate(deg)]
+                profiles = _reference_vertex_profiles(n, child)
+                inv_added = _reference_set_invariant(profiles, e)
+                assert min(_reference_set_invariant(profiles, f)
+                           for f in child) < inv_added
+                assert _is_canonical_addition(n, child, e, child_deg) is None
+    assert rejected > 1000
 
 
 def test_output_is_isomorph_free_and_feasible():
