@@ -19,8 +19,10 @@ solver's realizations run without; exact values come from asking
 s = 1, 2, ... of one bit space, with one memo, until the answer flips.  A host is a family
 of its own in rainbow matchings.
 
-All searches are exact and deterministic; hosts are limited to n <= 16
-(vertex bitmasks, desk-scale fixtures).
+All searches are exact and deterministic; the public functions limit
+hosts to n <= 16 (desk-scale fixtures).  The solver's cache rechecks its
+stored graphs through `_disjoint_config`, bounded by the solver's own
+edge budget instead.
 """
 
 from __future__ import annotations
@@ -366,6 +368,11 @@ def has_disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
     families are merged first (their demands add up); witness entries
     carry the original index of each family's first occurrence."""
     _check_budget(h)
+    return _disjoint_config(h, config)
+
+
+def _disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
+    """`has_disjoint_config` without the host budget."""
     families = _normalize_families(config)
     pack = _pack_copies([_copies(f, h) for f, _, _ in families],
                         [(0, first) for _, _, first in families])

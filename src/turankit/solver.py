@@ -36,9 +36,9 @@ them.
 Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
 pairwise disjoint on non-frozen edges force p distinct deletions, giving
-the bound count − p.  Copies of each family inside the host are
-precomputed once, from `matching._embeddings`, and numbered in one bit
-space, so that sets of copies are integers.  Per edge the table holds
+the bound count − p.  Copies of each family in the complete r-graph
+are precomputed once, from `matching._embeddings`, and numbered in one
+bit space, so that sets of copies are integers.  Per edge the table holds
 the copies that use it, per copy the copies that share a vertex with it;
 a copy's vertices are the image of all v(F) vertices, so isolated
 vertices of F take part in disjointness.  Each search node carries its
@@ -77,8 +77,8 @@ from typing import Optional, Sequence
 
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
-from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
-                       _pack, _spans, _union)
+from .matching import (_bits, _conflicts, _disjoint_config, _embeddings,
+                       _normalize_families, _pack, _spans, _union)
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 _DEFAULT_CACHE_DIR = ".turankit-cache"
@@ -165,18 +165,17 @@ class TuranRecord:
 
 class _Searcher:
     """Shared machinery for one (config, n) instance: the lex-ordered
-    edge universe, per-family copy tables, and the freezing search.  The
-    universe is every r-set, or the edge set `host` when one is given."""
+    universe of every r-set, per-family copy tables, and the freezing
+    search."""
 
-    def __init__(self, n: int, config: ForbiddenConfig, host=None):
+    def __init__(self, n: int, config: ForbiddenConfig):
         self.n = n
         self.config = config
         self.r = config.r
         if comb(n, self.r) > _MAX_EDGES:
             raise BudgetExceededError(f"C({n}, {self.r}) edges exceed the "
                                       f"budget of {_MAX_EDGES}")
-        self.edges = (list(combinations(range(n), self.r)) if host is None
-                      else sorted(host))
+        self.edges = list(combinations(range(n), self.r))
         self.index = {e: i for i, e in enumerate(self.edges)}
         self.full = (1 << len(self.edges)) - 1
         self.fams = []  # (copies, demand); copy = (edge mask, vertex mask)
@@ -201,7 +200,7 @@ class _Searcher:
         self.skipped_upper = -1
 
     def _copies(self, f: Hypergraph):
-        """Every copy of f inside the host, one (edge mask, vertex mask)
+        """Every copy of f on n vertices, one (edge mask, vertex mask)
         each, sorted by edge bits then vertex mask for determinism.  The
         vertex mask is the image of all v(f) vertices, isolated ones
         included."""
@@ -244,7 +243,7 @@ class _Searcher:
                           tuple(self.edges[e] for e in _bits(mask)))
 
     def _orbit_tables(self):
-        """Tables for twin tests and edge orbits on the complete host.
+        """Tables for twin tests and edge orbits.
         Per vertex v, star[v] = the edges containing v.  A link is an
         (r-1)-set bitset carrying the g part in its low half and the
         frozen part shifted up by `shift`; link_bits[e] = the (vertex,
@@ -303,8 +302,6 @@ class _Searcher:
         at each feasible leaf and returns (floor, witness mask or None);
         enumerate mode keeps it and returns the set of canonical forms of
         the feasible leaves."""
-        if len(self.edges) != comb(self.n, self.r):
-            raise ValueError("orbital branching needs the complete host")
         if self.orbit_tables is None:
             self.orbit_tables = self._orbit_tables()
         _, link_bits, _, shift, root = self.orbit_tables
@@ -454,8 +451,12 @@ def _store(record: TuranRecord, path: str) -> None:
 
 
 def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
-    """Reload a cached record of the current format, re-validating every
-    stored extremal graph against the constraint before trusting it."""
+    """Reload a cached record of the current format, rechecking every
+    stored extremal graph with `matching`'s packing search before
+    trusting it.  None on any mismatch, and for an n over the edge
+    budget, so that the solve raises as on a miss."""
+    if comb(n, config.r) > _MAX_EDGES:
+        return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -472,10 +473,8 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
                                   tuple(tuple(e) for e in edges))
                        for edges in doc["extremal"])
         for g in graphs:
-            if g.edge_count != doc["value"]:
-                return None
-            s = _Searcher(n, config, g.edges)
-            if not s.is_feasible(s.full):
+            if (g.edge_count != doc["value"]
+                    or _disjoint_config(g, config.families) is not None):
                 return None
         return TuranRecord(n, config.r, doc["config_hash"], "exact",
                            doc["value"], doc["upper"], graphs,
@@ -485,18 +484,34 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         return None
 
 
+def _cached_solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
+                  enumerate_all: bool, cache_dir,
+                  node_limit: Optional[int]) -> TuranRecord:
+    """The cached record when it answers the question, else a solve,
+    stored when exact."""
+    path = _cache_path(n, config, cache_dir)
+    cached = _load(path, n, config)
+    if cached is not None and (cached.extremal_complete or not enumerate_all):
+        return cached
+    record = _solve(n, config, seed, enumerate_all, node_limit)
+    if record.status == "exact":
+        _store(record, path)
+    return record
+
+
+def _exact(record: TuranRecord) -> TuranRecord:
+    """The record, if exact: a node-limit bracket is never read as a value."""
+    if record.status != "exact":
+        raise BudgetExceededError(f"node limit hit at n={record.n}; bounds "
+                                  f"[{record.value}, {record.upper}]")
+    return record
+
+
 def max_edges(n: int, config: ForbiddenConfig,
               seed: Optional[Hypergraph] = None, *,
               cache_dir=None, node_limit: Optional[int] = None) -> TuranRecord:
     """Exact maximum edge count of a feasible graph on n vertices."""
-    path = _cache_path(n, config, cache_dir)
-    cached = _load(path, n, config)
-    if cached is not None:
-        return cached
-    record = _solve(n, config, seed, False, node_limit)
-    if record.status == "exact":
-        _store(record, path)
-    return record
+    return _cached_solve(n, config, seed, False, cache_dir, node_limit)
 
 
 def enumerate_extremal(n: int, config: ForbiddenConfig,
@@ -504,16 +519,8 @@ def enumerate_extremal(n: int, config: ForbiddenConfig,
                        cache_dir=None,
                        node_limit: Optional[int] = None) -> list[Hypergraph]:
     """All maximum feasible graphs up to isomorphism (canonical forms)."""
-    path = _cache_path(n, config, cache_dir)
-    cached = _load(path, n, config)
-    if cached is not None and cached.extremal_complete:
-        return list(cached.extremal)
-    record = _solve(n, config, seed, True, node_limit)
-    if record.status != "exact":
-        raise BudgetExceededError(
-            f"node limit hit; bounds are [{record.value}, {record.upper}]")
-    _store(record, path)
-    return list(record.extremal)
+    return list(_exact(_cached_solve(n, config, seed, True, cache_dir,
+                                     node_limit)).extremal)
 
 
 @dataclass(frozen=True)
@@ -559,11 +566,8 @@ def ex_table(config: ForbiddenConfig, n_lo: int, n_hi: int, *,
         seed = None
         if prev is not None:
             seed = Hypergraph(n, config.r, prev.edges)
-        rec = max_edges(n, config, seed,
-                        cache_dir=cache_dir, node_limit=node_limit)
-        if rec.status != "exact":
-            raise BudgetExceededError(
-                f"node limit hit at n={n}; bounds [{rec.value}, {rec.upper}]")
+        rec = _exact(max_edges(n, config, seed,
+                               cache_dir=cache_dir, node_limit=node_limit))
         records.append(rec)
         prev = rec.extremal[0] if rec.extremal else None
     return TuranTable(config, tuple(records))
@@ -573,7 +577,6 @@ def pi_upper(config: ForbiddenConfig, n: int, *,
              cache_dir=None, node_limit: Optional[int] = None) -> Fraction:
     """ex(n, config)/C(n, r): a certified density upper bound, since the
     ratio is nonincreasing in n."""
-    rec = max_edges(n, config, cache_dir=cache_dir, node_limit=node_limit)
-    if rec.status != "exact":
-        raise BudgetExceededError("node limit hit; no certified ratio")
+    rec = _exact(max_edges(n, config, cache_dir=cache_dir,
+                           node_limit=node_limit))
     return Fraction(rec.value, comb(n, config.r))

@@ -29,7 +29,8 @@ from .errors import BudgetExceededError
 from .genfree import free_graphs
 from .matching import embed, matching_number, rainbow_matching
 from .patterns import Pattern, blowup, full_construction_assignment
-from .solver import TuranTable, config_of, enumerate_extremal, max_edges
+from .solver import (TuranTable, _exact, config_of, enumerate_extremal,
+                     max_edges)
 
 # rational LOWER bound of e: checking LHS <= E_LOWER*RHS is the sound
 # direction for certifying LHS <= e*RHS
@@ -129,15 +130,6 @@ class BoundsParams:
     f2: GrowthFn = GrowthFn("zero")
 
 
-def _exact_value(n: int, cfg, seed: Optional[Hypergraph] = None) -> int:
-    """ex(n, cfg); a bracket from a node limit is never read as a value."""
-    rec = max_edges(n, cfg, seed)
-    if rec.status != "exact":
-        raise BudgetExceededError(
-            f"node limit hit at n={n}; bounds [{rec.value}, {rec.upper}]")
-    return rec.value
-
-
 def known_density(f: Hypergraph) -> Optional[Fraction]:
     """The exact edge-density limit of f when it is a built-in case —
     complete graphs, the fano plane, or the f32 family — else None."""
@@ -186,7 +178,7 @@ def check_boundedness(f: Hypergraph, n: int, params: BoundsParams,
     elif r != 2 or n > 8:
         raise BudgetExceededError("enumerate mode budget is r=2, n <= 8")
     else:
-        value = _exact_value(n, cfg)
+        value = _exact(max_edges(n, cfg)).value
     d_n = Fraction(r * value, n)
     cap = d_n + params.f2(n, r)
     violations = []
@@ -333,7 +325,7 @@ def check_facts(f: Hypergraph, p: Optional[Pattern], n: int) -> CheckReport:
     extremal = enumerate_extremal(n, cfg)
     prev = enumerate_extremal(n - 1, cfg) if p is not None else ()
     delta = extremal[0].edge_count - (
-        prev[0].edge_count if prev else _exact_value(n - 1, cfg))
+        prev[0].edge_count if prev else _exact(max_edges(n - 1, cfg)).value)
     violations = []
     for h in extremal:
         prof = h.degree_profile()
@@ -386,7 +378,7 @@ def check_matching_theorems(n: int, t: int, r: int) -> CheckReport:
     if clique <= n:
         seeds.append(Hypergraph(n, r, tuple(combinations(range(clique), r))))
     seed = max(seeds, key=lambda g: g.edge_count)
-    value = _exact_value(n, config_of([(edge, t + 1)]), seed)
+    value = _exact(max_edges(n, config_of([(edge, t + 1)]), seed)).value
     violations = []
     if value != formula:
         violations.append(Violation(
@@ -423,7 +415,8 @@ def check_rainbow(f: Hypergraph, n: int, t: int, trials: int,
 
     rng = Random(rng_seed)
     universe = list(combinations(range(n), r))
-    for trial in range(trials):
+    # at a complete threshold no collection lies above it: nothing to sample
+    for trial in range(trials if threshold < len(universe) else 0):
         hosts = []
         for _ in range(t + 1):
             g = base_ext[rng.randrange(len(base_ext))]

@@ -243,7 +243,25 @@ def bgraph(r: int, l: int) -> Hypergraph:
     return Hypergraph(l + 1, r, tuple(sorted(edges)))
 
 
-_NO_PARAMS = {"fano": fano, "f7": f7, "f43": f43, "f32": f32}
+# name -> (constructor, the spec.params keys it takes, in order); the
+# payload entries and odd_bipartite's optional m get their own lines in
+# `construct`
+_CONSTRUCTORS = {
+    "fano": (fano, ()), "f7": (f7, ()), "f43": (f43, ()), "f32": (f32, ()),
+    "turan": (turan, ("n", "l", "r")),
+    "bipartite3": (bipartite3, ("n",)),
+    "odd_bipartite": (odd_bipartite, ("n", "r")),
+    "even_quad": (even_quad, ("n",)),
+    "semibipartite": (semibipartite, ("n", "r")),
+    "gen_triangle": (gen_triangle, ("r",)),
+    "expansion_complete": (lambda l, r: expansion_complete(l + 1, r),
+                           ("l", "r")),
+    "tree_expansion": (tree_expansion, ("r",)),
+    "expanded_triangle": (expanded_triangle, ("r",)),
+    "matching": (matching_graph, ("k", "r")),
+    "sunflower": (sunflower, ("k", "r")),
+    "bgraph": (bgraph, ("r", "l")),
+}
 
 
 def construct(spec: ZooSpec) -> Hypergraph:
@@ -254,59 +272,24 @@ def construct(spec: ZooSpec) -> Hypergraph:
     expansion_complete uses l+1 original vertices and bgraph l+1 vertices
     total.  Unknown names and missing/invalid parameters raise ValueError.
     """
-    p = spec.params
-
-    def need(*keys):
-        missing = [k for k in keys if k not in p]
-        if missing:
-            raise ValueError(f"{spec.name} needs parameters: {', '.join(missing)}")
-        return [p[k] for k in keys]
-
-    if spec.name in _NO_PARAMS:
-        return _NO_PARAMS[spec.name]()
-    if spec.name == "turan":
-        n, l, r = need("n", "l", "r")
-        return turan(n, l, r)
-    if spec.name == "bipartite3":
-        (n,) = need("n")
-        return bipartite3(n)
-    if spec.name == "odd_bipartite":
-        n, r = need("n", "r")
-        return odd_bipartite(n, r, p.get("m"))
-    if spec.name == "even_quad":
-        (n,) = need("n")
-        return even_quad(n)
-    if spec.name == "semibipartite":
-        n, r = need("n", "r")
-        return semibipartite(n, r)
-    if spec.name == "gen_triangle":
-        (r,) = need("r")
-        return gen_triangle(r)
-    if spec.name == "expansion_complete":
-        l, r = need("l", "r")
-        return expansion_complete(l + 1, r)
     if spec.name == "expansion_of":
         if not isinstance(spec.payload, Hypergraph):
             raise ValueError("expansion_of needs a hypergraph payload")
         return expansion_of(spec.payload)
+    if spec.name not in _CONSTRUCTORS:
+        raise ValueError(f"unknown zoo name: {spec.name}")
+    build, keys = _CONSTRUCTORS[spec.name]
+    missing = [k for k in keys if k not in spec.params]
+    if missing:
+        raise ValueError(f"{spec.name} needs parameters: {', '.join(missing)}")
+    args = [spec.params[k] for k in keys]
+    if spec.name == "odd_bipartite":
+        args.append(spec.params.get("m"))
     if spec.name == "tree_expansion":
-        (r,) = need("r")
         if spec.payload is None:
             raise ValueError("tree_expansion needs a tree edge-list payload")
-        return tree_expansion(spec.payload, r)
-    if spec.name == "expanded_triangle":
-        (r,) = need("r")
-        return expanded_triangle(r)
-    if spec.name == "matching":
-        k, r = need("k", "r")
-        return matching_graph(k, r)
-    if spec.name == "sunflower":
-        k, r = need("k", "r")
-        return sunflower(k, r)
-    if spec.name == "bgraph":
-        r, l = need("r", "l")
-        return bgraph(r, l)
-    raise ValueError(f"unknown zoo name: {spec.name}")
+        args.insert(0, spec.payload)
+    return build(*args)
 
 
 def chromatic_number(g: Hypergraph) -> int:
@@ -330,19 +313,20 @@ def chromatic_number(g: Hypergraph) -> int:
             earlier[rank[u]].append(rank[v])
     color = [-1] * g.n
 
-    def colorable(i: int, used: int, k: int) -> bool:
+    # colorable recurses through its argument: no closure refers to itself
+    def colorable(again, i: int, used: int, k: int) -> bool:
         if i == g.n:
             return True
         for c in range(min(used + 1, k)):
             if all(color[j] != c for j in earlier[i]):
                 color[i] = c
-                if colorable(i + 1, max(used, c + 1), k):
+                if again(again, i + 1, max(used, c + 1), k):
                     return True
         color[i] = -1
         return False
 
     for k in range(2, g.n + 1):
-        if colorable(0, 0, k):
+        if colorable(colorable, 0, 0, k):
             return k
     return g.n
 

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,12 +21,12 @@ from turankit.core import Hypergraph, are_isomorphic, complete, empty, join
 from turankit.errors import BudgetExceededError
 from turankit import solver
 from turankit.genfree import free_graphs
-from turankit.matching import _bits
+from turankit.matching import _bits, has_disjoint_config
 from turankit.solver import (
     ForbiddenConfig, TuranRecord, TuranTable, _Searcher, _solve, config_of,
     enumerate_extremal, ex_table, max_edges, pi_upper,
 )
-from turankit.zoo import bipartite3, fano, turan
+from turankit.zoo import bipartite3, chromatic_number, fano, turan
 
 K3 = complete(3, 2)
 K4 = complete(4, 2)
@@ -182,6 +183,8 @@ def test_node_limit_gives_bounds(cache):
         enumerate_extremal(9, cfg, node_limit=50, cache_dir=cache)
     with pytest.raises(BudgetExceededError):
         ex_table(cfg, 9, 9, node_limit=50, cache_dir=cache)
+    with pytest.raises(BudgetExceededError):
+        pi_upper(cfg, 9, node_limit=50, cache_dir=cache)
 
 
 def test_bounds_not_cached(cache):
@@ -257,8 +260,8 @@ def test_interrupted_cache_write_keeps_previous_record(cache, monkeypatch):
 
 
 def test_cache_round_trip_at_seventeen(cache, monkeypatch):
-    # revalidation runs the solver's own kernel on the stored graph, so a
-    # host above the matching engine's 16-vertex limit reloads as well
+    # revalidation runs the packing search without the public 16-vertex
+    # budget of `has_disjoint_config`, so a host of 17 reloads as well
     cfg = config_of([(EDGE2, 2)])
     first = max_edges(17, cfg, cache_dir=cache)
     assert first.value == 16  # Erdős–Gallai: max(C(3,2), C(17,2) - C(16,2))
@@ -285,6 +288,29 @@ def test_cache_recomputes_graphs_with_forbidden_copies(cache):
     again = max_edges(6, cfg, cache_dir=cache)
     assert again.value == 9 and again.extremal == rec.extremal
     assert not brute_has_config(again.extremal[0], cfg.families)
+
+
+def test_cache_recomputes_a_forbidden_graph_at_seventeen(cache, monkeypatch):
+    cfg = config_of([(EDGE2, 2)])
+    first = max_edges(17, cfg, cache_dir=cache)
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path) as fh:
+        doc = json.load(fh)
+    # 16 edges, as the value says, but (0, 3) and (1, 2) are disjoint
+    doc["extremal"] = [[[0, v] for v in range(1, 16)] + [[1, 2]]]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    solves = []
+    real = solver._solve
+
+    def counted(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_solve", counted)
+    again = max_edges(17, cfg, cache_dir=cache)
+    assert len(solves) == 1
+    assert again.value == 16 and again.extremal == first.extremal
 
 
 def test_size_budget(cache, monkeypatch):
@@ -489,6 +515,24 @@ def small_configs(draw):
     return draw(st.integers(r, 7)), ForbiddenConfig(tuple(families))
 
 
+@given(small_configs(), st.randoms(use_true_random=False))
+@example((6, config_of([(K3, 1), (K3_ISO, 1)])), Random(0))
+@example((7, config_of([(K3, 1), (K3_ISO, 1)])), Random(0))
+@example((7, config_of([(K3_ISO, 1), (EDGE2, 2)])), Random(1))
+def test_searcher_agrees_with_the_packing_search(case, rnd):
+    # the solver decides feasibility with its copy tables, the cache
+    # rechecks stored graphs with matching's packing search; both count
+    # the isolated vertices of a family (the complete graph on 6 vertices
+    # has no triangle disjoint from a triangle plus an isolated vertex)
+    n, cfg = case
+    s = _Searcher(n, cfg)
+    for p in (0.5, 0.75, 0.9, 1.0):
+        h = Hypergraph(n, cfg.r, tuple(e for e in s.edges
+                                       if rnd.random() < p))
+        assert s.is_feasible(s.mask_of(h)) == (
+            has_disjoint_config(h, cfg.families) is None)
+
+
 @settings(max_examples=120)
 @given(small_configs())
 @example((7, config_of([(K3, 1), (K3_ISO, 1)])))
@@ -590,12 +634,6 @@ def test_node_limits_give_brackets(n, families, seed, exact):
     assert limit > 40
 
 
-def test_orbital_search_needs_the_complete_host():
-    s = _Searcher(5, config_of([(K3, 1)]), complete(5, 2).edges[1:])
-    with pytest.raises(ValueError):
-        s.run(-1, 100, False)
-
-
 def count_orbit_tables(monkeypatch):
     built = []
     real = _Searcher._orbit_tables
@@ -630,7 +668,8 @@ def test_searches_leave_no_cyclic_garbage():
 
     cfg = config_of([(K3, 1)])
     calls = (lambda: matching_number(K3, complete(9, 2)),
-             lambda: _solve(7, cfg, None, True, None))
+             lambda: _solve(7, cfg, None, True, None),
+             lambda: chromatic_number(complete(5, 2)))
     for call in calls:
         call()  # warm the caches the call fills
     enabled = gc.isenabled()

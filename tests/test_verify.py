@@ -272,6 +272,9 @@ def test_rainbow_boundary_and_trials():
     report = check_rainbow(K3, 9, 1, trials=10, rng_seed=7)
     assert report.status == "pass"
     assert report.violations == ()
+    # the threshold host is complete: no collection lies above it
+    report = check_rainbow(complete(4, 2), 4, 1, 1, 0)
+    assert report.status == "pass"
 
 
 def test_rainbow_deterministic():
