@@ -21,9 +21,13 @@ found in two phases:
     (under the phase-1 generators) of the already-assigned vertices are
     interchangeable, so only the first is explored.
 
-`canonical_labeling` runs both phases.  Callers that need only equality
-of classes, automorphism orbits or an invariant choice among a graph's
-edges use the phase-1 scan alone.  Both phases are deterministic, pure
+`canonical_labeling` runs both phases for the callers that return or
+store a form, where the lex-min order itself matters: `ForbiddenConfig`
+and `matching._normalize_families` (it fixes the config hash and the
+family order, and so the solver's node counts), the solver's witness and
+enumerated classes (returned and cached), and `turankit canon`.  Class
+equality (`core._class_key`), automorphism orbits and invariant edge
+choices use the phase-1 scan alone.  Both phases are deterministic, pure
 Python, and desk-scale by design.
 """
 

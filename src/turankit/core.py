@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .canon import canonical_labeling
+from .canon import canonical_labeling, refinement_scan
 from .errors import FormatError
 
 Edge = tuple[int, ...]
@@ -114,9 +114,8 @@ class Hypergraph:
             if not 0 <= v < self.n:
                 raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
         relabel = {v: i for i, v in enumerate(s)}
-        keep = set(s)
         edges = [tuple(relabel[u] for u in e) for e in self.edges
-                 if all(u in keep for u in e)]
+                 if all(u in relabel for u in e)]
         return Hypergraph(len(s), self.r, tuple(edges))
 
     def with_edges(self, extra: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -240,12 +239,14 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
     return _canonical_form_cached(g)
 
 
+def _class_key(g: Hypergraph) -> tuple:
+    """Equal exactly for isomorphic graphs: (n, r) and the refinement
+    scan's certificate, without `canonical_form`'s lex-min search."""
+    return g.n, g.r, refinement_scan(g.n, g.edges).edges
+
+
 def are_isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
-    if g.n != h.n or g.r != h.r or len(g.edges) != len(h.edges):
-        return False
-    if sorted(g.degrees()) != sorted(h.degrees()):
-        return False
-    return canonical_form(g).edges == canonical_form(h).edges
+    return _class_key(g) == _class_key(h)
 
 
 # -- .hg text format ---------------------------------------------------

@@ -22,7 +22,7 @@ of its own in rainbow matchings.
 All searches are exact and deterministic; the public functions limit
 hosts to n <= 16 (desk-scale fixtures).  The solver's cache rechecks its
 stored graphs through `_disjoint_config`, bounded by the solver's own
-edge budget instead.
+edge and copy budgets instead.
 """
 
 from __future__ import annotations
@@ -182,14 +182,18 @@ def is_free(f: Hypergraph, h: Hypergraph) -> bool:
     return embed(f, h) is None
 
 
-def _copies(f: Hypergraph, h: Hypergraph) -> list[tuple[int, tuple[int, ...], Embedding]]:
+def _copies(f: Hypergraph, h: Hypergraph, max_copies: Optional[int] = None
+            ) -> list[tuple[int, tuple[int, ...], Embedding]]:
     """All copies of f in h as (vertex bitmask, vertex tuple, embedding),
     deduplicated by vertex set (first embedding kept) and sorted by
-    vertex tuple."""
+    vertex tuple; `BudgetExceededError` past max_copies copies, if given."""
     if f.r != h.r:
         raise ValueError("packing requires equal uniformity")
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for mapping in _embeddings(f, h.n, set(h.edges)):
+    for count, mapping in enumerate(_embeddings(f, h.n, set(h.edges)), 1):
+        if max_copies is not None and count > max_copies:
+            raise BudgetExceededError(
+                f"more than {max_copies} copies of a forbidden family")
         found.setdefault(tuple(sorted(mapping)), mapping)
     return [(sum(1 << v for v in key), key, Embedding(found[key]))
             for key in sorted(found)]
@@ -371,10 +375,10 @@ def has_disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
     return _disjoint_config(h, config)
 
 
-def _disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
-    """`has_disjoint_config` without the host budget."""
+def _disjoint_config(h, config, max_copies=None) -> Optional[MatchingWitness]:
+    """`has_disjoint_config` with `_copies`'s budget in place of the host's."""
     families = _normalize_families(config)
-    pack = _pack_copies([_copies(f, h) for f, _, _ in families],
+    pack = _pack_copies([_copies(f, h, max_copies) for f, _, _ in families],
                         [(0, first) for _, _, first in families])
     return pack([t for _, t, _ in families], set())
 

@@ -399,8 +399,7 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
     status = "bounds" if s.limit_hit else "exact"
     extremal = ()
     if witness is not None:
-        cf = canonical_form(s.graph_of(witness))
-        extremal = (Hypergraph(cf.n, cf.r, cf.edges),)
+        extremal = (canonical_form(s.graph_of(witness)).graph(),)
     nodes, complete = s.nodes, False
     if enumerate_all and status == "exact":
         # second pass on the same tables: collect the value's leaves,
@@ -454,7 +453,8 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record of the current format, rechecking every
     stored extremal graph with `matching`'s packing search before
     trusting it.  None on any mismatch, and for an n over the edge
-    budget, so that the solve raises as on a miss."""
+    budget, so that the solve raises as on a miss.  Over `_MAX_COPIES`
+    copies in a stored graph raise, as they would in K_n's solve."""
     if comb(n, config.r) > _MAX_EDGES:
         return None
     try:
@@ -472,10 +472,9 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         graphs = tuple(Hypergraph(n, config.r,
                                   tuple(tuple(e) for e in edges))
                        for edges in doc["extremal"])
-        for g in graphs:
-            if (g.edge_count != doc["value"]
-                    or _disjoint_config(g, config.families) is not None):
-                return None
+        if any(g.edge_count != doc["value"] or _disjoint_config(
+                g, config.families, _MAX_COPIES) is not None for g in graphs):
+            return None
         return TuranRecord(n, config.r, doc["config_hash"], "exact",
                            doc["value"], doc["upper"], graphs,
                            doc["extremal_complete"], doc["nodes"],

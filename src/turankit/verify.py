@@ -24,13 +24,14 @@ from math import comb
 from random import Random
 from typing import Optional, Sequence
 
-from .core import Hypergraph, canonical_form, dumps_hg, join
+from .core import Hypergraph, _class_key, complete, dumps_hg, join
 from .errors import BudgetExceededError
 from .genfree import free_graphs
 from .matching import embed, matching_number, rainbow_matching
 from .patterns import Pattern, blowup, full_construction_assignment
 from .solver import (TuranTable, _exact, config_of, enumerate_extremal,
                      max_edges)
+from .zoo import f32, fano
 
 # rational LOWER bound of e: checking LHS <= E_LOWER*RHS is the sound
 # direction for certifying LHS <= e*RHS
@@ -133,14 +134,11 @@ class BoundsParams:
 def known_density(f: Hypergraph) -> Optional[Fraction]:
     """The exact edge-density limit of f when it is a built-in case —
     complete graphs, the fano plane, or the f32 family — else None."""
-    from .core import complete
-    from .zoo import f32, fano
-
-    table = {canonical_form(complete(l, 2)).hash_hex: Fraction(l - 2, l - 1)
+    table = {_class_key(complete(l, 2)): Fraction(l - 2, l - 1)
              for l in range(2, 10)}
-    table[canonical_form(fano()).hash_hex] = Fraction(3, 4)
-    table[canonical_form(f32()).hash_hex] = Fraction(4, 9)
-    return table.get(canonical_form(f).hash_hex)
+    table[_class_key(fano())] = Fraction(3, 4)
+    table[_class_key(f32())] = Fraction(4, 9)
+    return table.get(_class_key(f))
 
 
 def check_smoothness(table: TuranTable, g: GrowthFn) -> CheckReport:
@@ -206,18 +204,22 @@ def check_boundedness(f: Hypergraph, n: int, params: BoundsParams,
                    violations, t0, observational=True)
 
 
+def _apex_prediction(f: Hypergraph, n: int, t: int) -> tuple[list, int]:
+    """EX(n-t, F) and the t-apex value C(n,r) - C(n-t,r) + ex(n-t, F)."""
+    if not 0 <= t <= n:
+        raise ValueError(f"apex count t={t} must satisfy 0 <= t <= n={n}")
+    base_ext = enumerate_extremal(n - t, config_of([(f, 1)]))
+    return base_ext, comb(n, f.r) - comb(n - t, f.r) + base_ext[0].edge_count
+
+
 def check_main_theorem(f: Hypergraph, n: int, t: int) -> CheckReport:
     """Three exact sub-checks for forbidding t+1 disjoint copies:
     (i) value equals C(n,r) - C(n-t,r) + ex(n-t, F); (ii) the extremal
     family is exactly the t-apex joins of EX(n-t, F); (iii) each such
     join packs exactly t copies of F."""
     t0 = time.perf_counter()
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    r = f.r
-    base_ext = enumerate_extremal(n - t, config_of([(f, 1)]))
+    base_ext, predicted = _apex_prediction(f, n, t)
     joined = [join(t, g) for g in base_ext]
-    predicted = comb(n, r) - comb(n - t, r) + base_ext[0].edge_count
 
     extremal = enumerate_extremal(n, config_of([(f, t + 1)]), joined[0])
     value = extremal[0].edge_count
@@ -226,8 +228,8 @@ def check_main_theorem(f: Hypergraph, n: int, t: int) -> CheckReport:
         violations.append(Violation(
             "(i) value", f"ex = {predicted}", f"ex = {value}"))
 
-    want = {canonical_form(g).graph() for g in joined}
-    got = {canonical_form(g).graph() for g in extremal}
+    want = {_class_key(g) for g in joined}
+    got = {_class_key(g) for g in extremal}
     if want != got:
         violations.append(Violation(
             "(ii) structure",
@@ -395,9 +397,7 @@ def check_rainbow(f: Hypergraph, n: int, t: int, trials: int,
     (t+1)-matching.  (b) sampled collections strictly above it must all
     have one; failures are hard and carry the serialized hosts."""
     t0 = time.perf_counter()
-    r = f.r
-    base_ext = enumerate_extremal(n - t, config_of([(f, 1)]))
-    threshold = comb(n, r) - comb(n - t, r) + base_ext[0].edge_count
+    base_ext, threshold = _apex_prediction(f, n, t)
     violations = []
 
     for g in base_ext:
@@ -414,7 +414,7 @@ def check_rainbow(f: Hypergraph, n: int, t: int, trials: int,
                 f"found {witness.entries}"))
 
     rng = Random(rng_seed)
-    universe = list(combinations(range(n), r))
+    universe = list(combinations(range(n), f.r))
     # at a complete threshold no collection lies above it: nothing to sample
     for trial in range(trials if threshold < len(universe) else 0):
         hosts = []
@@ -425,10 +425,7 @@ def check_rainbow(f: Hypergraph, n: int, t: int, trials: int,
             extra = missing[rng.randrange(len(missing))]
             perm = list(range(n))
             rng.shuffle(perm)
-            edges = tuple(sorted(
-                tuple(sorted(perm[v] for v in e))
-                for e in host.edges + (extra,)))
-            hosts.append(Hypergraph(n, r, edges))
+            hosts.append(host.with_edges([extra]).relabeled(perm))
         if rainbow_matching(hosts, f) is None:
             violations.append(Violation(
                 f"trial {trial}", "a rainbow matching",
@@ -452,20 +449,14 @@ def trim_low_degree(h: Hypergraph, eps: Fraction,
         raise ValueError("eps must lie strictly between 0 and 1")
     n, r = h.n, h.r
     big = comb(n - 1, r - 1)
-    degs = h.degrees()
 
     def below_cut(deg: int) -> bool:
         # deg <= (pi_hat - 2*sqrt(eps)) * big, exactly
         gap = pi_hat - Fraction(deg, big) if big else pi_hat
         return gap >= 0 and gap * gap >= 4 * eps
 
-    z = tuple(v for v in range(n) if below_cut(degs[v]))
-    keep = [v for v in range(n) if v not in z]
-    relabel = {v: i for i, v in enumerate(keep)}
-    kept_edges = tuple(sorted(
-        tuple(sorted(relabel[v] for v in e))
-        for e in h.edges if all(v not in z for v in e)))
-    trimmed = Hypergraph(len(keep), r, kept_edges)
+    z = tuple(v for v, deg in enumerate(h.degrees()) if below_cut(deg))
+    trimmed = h.induced(v for v in range(n) if v not in z)
 
     z_small = len(z) ** 2 <= eps * n * n
     if trimmed.n == 0:

@@ -112,6 +112,16 @@ def brute_isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
     return False
 
 
+def reference_are_isomorphic(g: Hypergraph, h: Hypergraph) -> bool:
+    """The earlier `core.are_isomorphic`: a degree pre-check, then
+    equality of the lex-min canonical forms."""
+    if g.n != h.n or g.r != h.r or len(g.edges) != len(h.edges):
+        return False
+    if sorted(g.degrees()) != sorted(h.degrees()):
+        return False
+    return canonical_form(g).edges == canonical_form(h).edges
+
+
 # -- copies and disjoint packings ---------------------------------------
 
 

@@ -3,16 +3,20 @@ contract, JSON stability, the job-file schema, and env handling."""
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import turankit
 from turankit.cli import run
-from turankit.core import Hypergraph, canonical_form, complete, dump_hg, join, loads_hg
+from turankit.core import (Hypergraph, are_isomorphic, canonical_form, complete,
+                           dump_hg, join, loads_hg)
 from turankit.patterns import Pattern, dump_pat
 from turankit.zoo import fano, tree_expansion, turan
 
@@ -108,6 +112,26 @@ def test_iso_exit_codes(files, capsys):
     assert code == 0 and text.strip() == "isomorphic"
     code, text, _ = invoke(["iso", files["k3.hg"], files["k4.hg"]], capsys)
     assert code == 1 and text.strip() == "not isomorphic"
+
+
+def test_iso_on_a_random_twelve_vertex_pair(capsys, tmp_path):
+    # G(12, 1/2) with 32 edges and a relabeling: the lex-min search took
+    # about a minute on this pair, the refinement certificate milliseconds
+    rng = random.Random(5)
+    g = Hypergraph(12, 2, tuple(e for e in combinations(range(12), 2)
+                                if rng.random() < 0.5))
+    perm = list(range(12))
+    rng.shuffle(perm)
+    h = g.relabeled(perm)
+    assert g.edge_count == 32 and h != g
+    assert are_isomorphic(g, h)
+    dump_hg(g, tmp_path / "a.hg")
+    dump_hg(h, tmp_path / "b.hg")
+    t0 = time.perf_counter()
+    code, text, _ = invoke(["iso", str(tmp_path / "a.hg"),
+                            str(tmp_path / "b.hg")], capsys)
+    assert code == 0 and text.strip() == "isomorphic"
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_nu_and_cap(files, capsys):

@@ -29,6 +29,7 @@ from oracles import (
     fano_graph,
     min_relabeling,
     path_graph,
+    reference_are_isomorphic,
     relabel,
     turan_graph,
 )
@@ -243,6 +244,33 @@ def test_iso_agrees_with_bruteforce(g, rnd):
     if rnd.random() < 0.5 and g.edges:
         h = h.without_edges([h.edges[rnd.randrange(len(h.edges))]])
     assert are_isomorphic(g, h) == brute_isomorphic(g, h)
+
+
+def _toggled(g: Hypergraph, e: tuple) -> Hypergraph:
+    if g.has_edge(e):
+        return g.without_edges([e])
+    return g.with_edges([e])
+
+
+@given(st.integers(2, 3), st.integers(0, 8), st.data(),
+       st.randoms(use_true_random=False))
+def test_iso_agrees_with_lex_min_reference(r, n, data, rnd):
+    pool = list(combinations(range(n), r))
+    edges = data.draw(st.lists(st.sampled_from(pool), unique=True)
+                      if pool else st.just([]))
+    g = Hypergraph(n, r, tuple(edges))
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    h = relabel(g, perm)
+    pairs = [(g, h)]
+    if pool:
+        # one r-set toggled in h; and toggled in both, which keeps the
+        # edge counts equal when both toggles add or both remove
+        h2 = _toggled(h, rnd.choice(pool))
+        pairs += [(g, h2), (_toggled(g, rnd.choice(pool)), h2)]
+    for a, b in pairs:
+        assert are_isomorphic(a, b) == reference_are_isomorphic(a, b)
+    assert are_isomorphic(g, h)
 
 
 # -- hg format ------------------------------------------------------------

@@ -19,7 +19,7 @@ from oracles import (
 )
 from turankit.core import Hypergraph, are_isomorphic, complete, empty, join
 from turankit.errors import BudgetExceededError
-from turankit import solver
+from turankit import matching, solver
 from turankit.genfree import free_graphs
 from turankit.matching import _bits, has_disjoint_config
 from turankit.solver import (
@@ -311,6 +311,29 @@ def test_cache_recomputes_a_forbidden_graph_at_seventeen(cache, monkeypatch):
     again = max_edges(17, cfg, cache_dir=cache)
     assert len(solves) == 1
     assert again.value == 16 and again.extremal == first.extremal
+
+
+def test_cache_recheck_stops_at_the_copy_budget(cache, monkeypatch):
+    # a hand-made Fano record at n = 13 holding K13^(3): its 51 480 copies
+    # of Fano are over the budget, as are those of the solve's K_13
+    cfg = config_of([(fano(), 1)])
+    k13 = complete(13, 3)
+    solver._store(TuranRecord(13, 3, cfg.hash_hex(), "exact", k13.edge_count,
+                              k13.edge_count, (k13,), True, 0, 0, 0),
+                  solver._cache_path(13, cfg, cache))
+    listed = []
+    real = matching._embeddings
+
+    def counted(*args):
+        for mapping in real(*args):
+            listed.append(mapping)
+            yield mapping
+
+    monkeypatch.setattr(matching, "_embeddings", counted)
+    monkeypatch.setattr(solver, "_embeddings", counted)
+    with pytest.raises(BudgetExceededError, match="copies"):
+        max_edges(13, cfg, cache_dir=cache)
+    assert len(listed) <= solver._MAX_COPIES + 1
 
 
 def test_size_budget(cache, monkeypatch):

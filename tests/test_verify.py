@@ -174,6 +174,36 @@ def test_main_theorem_solves_each_instance_once(monkeypatch, tmp_path):
     assert calls == [(8, 1), (9, 2)]
 
 
+def test_main_theorem_needs_at_most_n_apexes():
+    with pytest.raises(ValueError, match=r"t=4 must satisfy 0 <= t <= n=3"):
+        check_main_theorem(K3, 3, 4)
+
+
+def test_main_theorem_compares_classes_without_lex_min_forms(
+        monkeypatch, tmp_path):
+    from turankit import core
+    from turankit.verify import known_density
+
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
+    check_main_theorem(K3, 9, 1)  # fills the solver's cache
+    core._canonical_form_cached.cache_clear()
+    for t in (1, 2):
+        config_of([(K3, t)])  # caches the configs' own lex-min forms
+    calls = []
+    real = core.canonical_labeling
+
+    def counted(n, edges):
+        calls.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(core, "canonical_labeling", counted)
+    assert core.are_isomorphic(turan(7, 2, 2), turan(7, 2, 2).relabeled(
+        (6, 5, 4, 3, 2, 1, 0)))
+    assert known_density(complete(6, 2)) == Fraction(4, 5)
+    assert check_main_theorem(K3, 9, 1).status == "pass"
+    assert calls == []
+
+
 # ---------------------------------------------------------------- remark
 
 
@@ -275,6 +305,15 @@ def test_rainbow_boundary_and_trials():
     # the threshold host is complete: no collection lies above it
     report = check_rainbow(complete(4, 2), 4, 1, 1, 0)
     assert report.status == "pass"
+
+
+def test_rainbow_checks_apex_count_before_solving(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("solved before validating t")
+
+    monkeypatch.setattr(solver, "_solve", no_solve)
+    with pytest.raises(ValueError, match=r"t=-1 must satisfy 0 <= t <= n=7"):
+        check_rainbow(K3, 7, -1, 0, 0)
 
 
 def test_rainbow_deterministic():
