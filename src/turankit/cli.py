@@ -352,6 +352,8 @@ def _cmd_job(args):
     if isinstance(doc, dict) and "jobs" in doc and set(doc) != {"jobs"}:
         extra = sorted(set(doc) - {"jobs"})
         raise ValueError(f"batch files carry only 'jobs'; found {extra}")
+    if not isinstance(jobs, list):
+        raise ValueError(f"'jobs' must be a list, not {type(jobs).__name__}")
     parser = _build_parser()
     parsed = []
     for i, job in enumerate(jobs):

@@ -8,22 +8,20 @@ Two filters keep the output isomorph-free without a seen-set (McKay,
   of the parent's automorphism group, and one representative per orbit
   is tried;
 * child side — an augmented graph is accepted only when the added edge
-  lies in its canonical-deletion orbit: among the edges of least
-  isomorphism-invariant key (a cheap vertex-profile invariant), the one
-  whose image under the least-leaf labeling of the refinement scan is
-  smallest, taken with its orbit under the child's automorphisms.
+  lies in its canonical-deletion orbit: among the edges whose key (the
+  sorted degrees of their vertices, an isomorphism invariant) is least,
+  the one whose image under the least-leaf labeling of the refinement
+  scan is smallest, taken with its orbit under the child's
+  automorphisms.
 
 Both filters read one `canon.refinement_scan` per graph: its generators
 generate the automorphism group, and its least-leaf relabeled edge list
 is an isomorphism invariant, so the chosen orbit does not depend on the
-labeling.  An accepted child's scan is reused as its own parent scan.
-Most children fail the child side on degrees alone, which the parent's
-degrees decide before the child is built or checked for feasibility
-(`_degree_rule`); the children that pass take their degrees from the
-parent's.
-Feasibility (no forbidden realization) is downward closed, so the tree
-never needs to look above an infeasible graph.  Everything is
-deterministic; one graph per isomorphism class is yielded in the
+labeling.  An accepted child's scan is reused as its own parent scan;
+a child whose added edge does not have the least key is rejected before
+its scan.  Feasibility (no forbidden realization) is downward closed,
+so the tree never needs to look above an infeasible graph.  Everything
+is deterministic; one graph per isomorphism class is yielded in the
 generated labeling.
 """
 
@@ -50,21 +48,6 @@ def _orbit(s: tuple, generators) -> set:
     return orbit
 
 
-def _vertex_profiles(n: int, edges: tuple, deg: list):
-    """Per-vertex invariant: degree (`deg`, the graph's degrees) plus the
-    sorted degree-profiles of incident edges."""
-    prof = [[] for _ in range(n)]
-    for e in edges:
-        shape = tuple(sorted(deg[v] for v in e))
-        for v in e:
-            prof[v].append(shape)
-    return [(deg[v], tuple(sorted(prof[v]))) for v in range(n)]
-
-
-def _set_invariant(profiles, s: tuple):
-    return tuple(sorted(profiles[v] for v in s))
-
-
 def _orbit_representatives(candidates: list, generators) -> list:
     """The least candidate r-set of each automorphism orbit; `candidates`
     is in increasing order and closed under the generators."""
@@ -77,40 +60,17 @@ def _orbit_representatives(candidates: list, generators) -> list:
     return reps
 
 
-def _degree_rule(deg: list):
-    """For a graph with degrees `deg`, a test that is true of a candidate
-    r-set e only when the child adding e fails the child-side test.  The
-    child fails it when a vertex w outside e has 0 < deg(w) <= min deg
-    over e: w keeps its degree in the child, below every degree of e
-    there, and an invariant starts with its set's least degree, so an
-    edge at w has a smaller invariant than e."""
-    # at_most[d]: the vertices of positive degree at most d
-    at_most = [0] * (max(deg, default=0) + 1)
-    for d in deg:
-        if d:
-            at_most[d] += 1
-    for d in range(1, len(at_most)):
-        at_most[d] += at_most[d - 1]
-
-    def rejects(e: tuple) -> bool:
-        least = min(deg[v] for v in e)
-        return at_most[least] > sum(1 for v in e if 0 < deg[v] <= least)
-
-    return rejects
-
-
 def _is_canonical_addition(n: int, edges: tuple, added: tuple,
                            deg: list) -> Optional[Scan]:
     """The graph's scan if `added` lies in its canonical-deletion orbit,
     else None; `deg` holds the graph's degrees."""
-    profiles = _vertex_profiles(n, edges, deg)
-    inv_added = _set_invariant(profiles, added)
+    key_added = sorted(deg[v] for v in added)
     tied = []
     for e in edges:
-        inv = _set_invariant(profiles, e)
-        if inv < inv_added:
+        key = sorted(deg[v] for v in e)
+        if key < key_added:
             return None
-        if inv == inv_added:
+        if key == key_added:
             tied.append(e)
     scan = refinement_scan(n, edges)
     if len(tied) > 1:
@@ -132,10 +92,7 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
         yield Hypergraph(n, s.r, edges)
         present = set(edges)
         candidates = [e for e in universe if e not in present]
-        rejects = _degree_rule(deg)
         for e in _orbit_representatives(candidates, scan.generators):
-            if rejects(e):
-                continue
             child_mask = mask | (1 << s.index[e])
             if not s.is_feasible(child_mask):
                 continue

@@ -559,6 +559,8 @@ def ex_table(config: ForbiddenConfig, n_lo: int, n_hi: int, *,
     useless seed is simply dropped)."""
     if n_lo > n_hi:
         raise ValueError("empty range")
+    if n_lo < 1:
+        raise ValueError(f"table ranges start at n >= 1, not {n_lo}")
     records = []
     prev: Optional[Hypergraph] = None
     for n in range(n_lo, n_hi + 1):

@@ -168,6 +168,8 @@ def check_boundedness(f: Hypergraph, n: int, params: BoundsParams,
     t0 = time.perf_counter()
     if mode not in ("extremal-only", "enumerate"):
         raise ValueError("mode must be extremal-only or enumerate")
+    if n < 1:
+        raise ValueError(f"boundedness needs n >= 1, not {n}")
     cfg = config_of([(f, 1)])
     r = f.r
     if mode == "extremal-only":

@@ -510,7 +510,7 @@ def reference_rainbow_matching(hosts, f: Hypergraph):
     return MatchingWitness(tuple(chosen)) if place(0, 0) else None
 
 
-# -- the phase-1 scan and generation before the degree rule ------------
+# -- the phase-1 scan and generation under a given edge invariant -------
 
 
 def _reference_refine(n: int, incident: Sequence[Sequence[Edge]],
@@ -657,14 +657,31 @@ def _reference_set_invariant(profiles, s: tuple):
     return tuple(sorted(profiles[v] for v in s))
 
 
-def _reference_is_canonical_addition(n: int, edges: tuple, added: tuple) -> Optional[Scan]:
-    """The graph's scan if `added` lies in its canonical-deletion orbit,
-    else None."""
+def profile_edge_keys(n: int, edges: tuple):
+    """Edge key: the sorted vertex profiles (degree plus the sorted degree
+    shapes of incident edges) of the edge's vertices."""
     profiles = _reference_vertex_profiles(n, edges)
-    inv_added = _reference_set_invariant(profiles, added)
+    return lambda s: _reference_set_invariant(profiles, s)
+
+
+def degree_edge_keys(n: int, edges: tuple):
+    """Edge key: the sorted degrees of the edge's vertices."""
+    deg = [0] * n
+    for e in edges:
+        for v in e:
+            deg[v] += 1
+    return lambda s: tuple(sorted(deg[v] for v in s))
+
+
+def _reference_is_canonical_addition(n: int, edges: tuple, added: tuple,
+                                     edge_keys) -> Optional[Scan]:
+    """The graph's scan if `added` lies in its canonical-deletion orbit,
+    else None; `edge_keys(n, edges)` maps each edge to its invariant."""
+    key = edge_keys(n, edges)
+    inv_added = key(added)
     tied = []
     for e in edges:
-        inv = _reference_set_invariant(profiles, e)
+        inv = key(e)
         if inv < inv_added:
             return None
         if inv == inv_added:
@@ -678,11 +695,13 @@ def _reference_is_canonical_addition(n: int, edges: tuple, added: tuple) -> Opti
     return scan
 
 
-def reference_scan_free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
-    """`genfree.free_graphs` before the degree rule: every child passes
-    the feasibility check and then the full invariant test, whose vertex
-    profiles are recounted from scratch; the scans are the reference
-    scans."""
+def reference_scan_free_graphs(n: int, config: ForbiddenConfig,
+                               edge_keys=profile_edge_keys) -> Iterator[Hypergraph]:
+    """Canonical augmentation with the scan's orbits and tie-break and the
+    given edge invariant (by default `genfree`'s vertex profiles before it
+    keyed edges by sorted degrees): every child passes the feasibility
+    check and then the full invariant test, recounted from scratch; the
+    scans are the reference scans."""
     s = _Searcher(n, config)
     universe = s.edges
 
@@ -695,7 +714,8 @@ def reference_scan_free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hype
             if not s.is_feasible(child_mask):
                 continue
             child_edges = tuple(sorted(edges + (e,)))
-            child_scan = _reference_is_canonical_addition(n, child_edges, e)
+            child_scan = _reference_is_canonical_addition(n, child_edges, e,
+                                                          edge_keys)
             if child_scan is not None:
                 yield from visit(child_mask, child_edges, child_scan)
 

@@ -283,6 +283,19 @@ def test_table_rows(files, capsys):
     assert doc["rows"][3]["d"] == "3"
 
 
+def test_zero_vertex_ranges_exit_2(files, capsys):
+    family = files["k3.hg"] + ":1"
+    for argv in (
+            ["table", "--family", family, "--from", "0", "--to", "3"],
+            ["verify", "smoothness", "--family", family, "--from", "0",
+             "--to", "3", "--g", "0"],
+            ["verify", "lemmas", "--n-max", "3",
+             "--table", files["k3.hg"] + ":0:1"],
+            ["verify", "boundedness", "--F", files["k3.hg"], "--n", "0"]):
+        code, _, err = invoke(argv, capsys)
+        assert code == 2 and err.startswith("error:"), argv
+
+
 def test_rainbow_command(files, capsys):
     code, text, _ = invoke(
         ["rainbow", "--hosts", ",".join([files["k4.hg"]] * 2),
@@ -417,6 +430,7 @@ def test_job_rejects_bad_schemas(files, capsys, tmp_path):
         {"n": 5},                                       # no command
         {"jobs": [{"command": "ex"}], "extra": 1},      # stray batch field
         [1, 2, 3],                                      # not an object
+        {"jobs": 3},                                    # jobs not a list
     ]
     for i, doc in enumerate(cases):
         path = tmp_path / f"bad{i}.json"

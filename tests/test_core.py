@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turankit.core import (
@@ -203,6 +203,19 @@ def test_canonical_matches_exhaustive_minimum():
     for g in [turan_graph(5, 2), cycle_graph(5), path_graph(5),
               fano_graph(), complete(4, 3)]:
         assert canonical_form(g).edges == min_relabeling(g)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3]), st.integers(0, 6), st.data())
+def test_canonical_form_is_exhaustive_minimum(r, n, data):
+    # the lex-min phase against the n! minimum on random small graphs
+    pool = list(combinations(range(n), r))
+    edges = data.draw(st.lists(st.sampled_from(pool), unique=True)
+                      if pool else st.just([]))
+    g = Hypergraph(n, r, tuple(edges))
+    cf = canonical_form(g)
+    assert cf.edges == min_relabeling(g)
+    assert relabel(g, cf.permutation).edges == cf.edges
 
 
 def test_canonical_invariant_under_relabeling():

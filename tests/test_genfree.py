@@ -4,8 +4,9 @@ The independent recount oracle below shares no code with the engine: it
 grows graphs breadth-first and deduplicates classes by brute-force
 least relabeling over the degree-sorting relabelings, with feasibility
 from the exhaustive config check.  The differential tests compare the
-engine with its marked-canonical-form predecessor, class by class, and
-with its predecessor before the degree rule, graph by graph.
+engine with its marked-canonical-form predecessor and its
+vertex-profile-keyed predecessor, class by class, and with a reference
+of the same sorted-degree edge key, graph by graph.
 """
 
 from itertools import combinations
@@ -13,9 +14,8 @@ from itertools import combinations
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    _reference_set_invariant,
-    _reference_vertex_profiles,
     brute_has_config,
+    degree_edge_keys,
     degree_sorted_relabeling,
     min_relabeling,
     reference_free_graphs,
@@ -24,9 +24,7 @@ from oracles import (
 
 from turankit import genfree
 from turankit.core import Hypergraph, canonical_form, complete
-from turankit.genfree import (
-    _degree_rule, _is_canonical_addition, count_free, free_graphs,
-)
+from turankit.genfree import count_free, free_graphs
 from turankit.solver import config_of
 
 K3 = complete(3, 2)
@@ -138,24 +136,38 @@ def test_matches_marked_form_reference(case):
 
 @settings(max_examples=30)
 @given(small_configs())
+def test_matches_profile_reference(case):
+    # the same classes as when edges were keyed by vertex profiles
+    n, cfg = case
+    engine = [canonical_form(g).edges for g in free_graphs(n, cfg)]
+    reference = [canonical_form(g).edges
+                 for g in reference_scan_free_graphs(n, cfg)]
+    assert len(set(engine)) == len(engine)
+    assert set(engine) == set(reference)
+
+
+@settings(max_examples=30)
+@given(small_configs())
 def test_matches_scan_reference_exactly(case):
-    # the same graphs, labels and order as before the degree rule
+    # the same graphs, labels and order as the sorted-degree reference
     n, cfg = case
     engine = [g.edges for g in free_graphs(n, cfg)]
-    assert engine == [g.edges for g in reference_scan_free_graphs(n, cfg)]
+    assert engine == [g.edges for g in
+                      reference_scan_free_graphs(n, cfg, degree_edge_keys)]
 
 
 def test_matches_scan_reference_exactly_triangle_free_eight():
     cfg = config_of([(K3, 1)])
     engine = [g.edges for g in free_graphs(8, cfg)]
     assert len(engine) == TRIANGLE_FREE_COUNTS[8]
-    assert engine == [g.edges for g in reference_scan_free_graphs(8, cfg)]
+    assert engine == [g.edges for g in
+                      reference_scan_free_graphs(8, cfg, degree_edge_keys)]
 
 
 def test_pinned_scan_count(monkeypatch):
-    # one scan per accepted graph plus one per child that reaches the
-    # full test and fails it (416 before the degree rule: the rule only
-    # drops children that fail before their scan)
+    # one scan per accepted graph plus one per child that passes the
+    # sorted-degree key and fails the tie-break (416 with the finer
+    # vertex-profile key, which rejected more children before their scan)
     calls = []
     scan = genfree.refinement_scan
 
@@ -165,31 +177,7 @@ def test_pinned_scan_count(monkeypatch):
 
     monkeypatch.setattr(genfree, "refinement_scan", counted)
     assert count_free(8, config_of([(K3, 1)])) == TRIANGLE_FREE_COUNTS[8]
-    assert len(calls) == 416
-
-
-def test_degree_rule_rejects_only_failing_children():
-    # every candidate the rule drops fails the full child-side test: some
-    # edge of the child has a smaller invariant than the added one
-    rejected = 0
-    for n, r, families in ([(n, 2, [(K3, 1)]) for n in range(2, 8)]
-                           + [(n, 3, [(complete(6, 3), 1)]) for n in range(3, 6)]):
-        for g in free_graphs(n, config_of(families)):
-            deg = [sum(v in e for e in g.edges) for v in range(n)]
-            rejects = _degree_rule(deg)
-            present = set(g.edges)
-            for e in combinations(range(n), r):
-                if e in present or not rejects(e):
-                    continue
-                rejected += 1
-                child = tuple(sorted(g.edges + (e,)))
-                child_deg = [d + (v in e) for v, d in enumerate(deg)]
-                profiles = _reference_vertex_profiles(n, child)
-                inv_added = _reference_set_invariant(profiles, e)
-                assert min(_reference_set_invariant(profiles, f)
-                           for f in child) < inv_added
-                assert _is_canonical_addition(n, child, e, child_deg) is None
-    assert rejected > 1000
+    assert len(calls) == 457
 
 
 def test_output_is_isomorph_free_and_feasible():

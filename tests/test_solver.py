@@ -377,6 +377,14 @@ def test_table_delta_and_degree(cache):
         ex_table(config_of([(K3, 1)]), 5, 4, cache_dir=cache)
 
 
+def test_table_refuses_zero_vertices(cache):
+    # d(0) would divide by zero: the range is refused before any solve
+    for lo, hi in ((0, 3), (-2, 1)):
+        with pytest.raises(ValueError):
+            ex_table(config_of([(K3, 1)]), lo, hi, cache_dir=cache)
+    assert not os.path.exists(cache)
+
+
 def test_pi_upper(cache):
     cfg = config_of([(K3, 1)])
     assert pi_upper(cfg, 8, cache_dir=cache) == Fraction(4, 7)

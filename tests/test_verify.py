@@ -129,6 +129,9 @@ def test_boundedness_budget_and_mode():
                           mode="enumerate")
     with pytest.raises(ValueError):
         check_boundedness(K3, 6, BoundsParams(), mode="everything")
+    for mode in ("extremal-only", "enumerate"):
+        with pytest.raises(ValueError):                 # d(n) divides by n
+            check_boundedness(K3, 0, BoundsParams(), mode=mode)
 
 
 # ---------------------------------------------------------- main theorem
