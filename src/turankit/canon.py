@@ -19,7 +19,11 @@ found in two phases:
     final edge list, started from the phase-1 certificate, and (b) orbit
     pruning: candidate vertices lying in a common orbit of the stabilizer
     (under the phase-1 generators) of the already-assigned vertices are
-    interchangeable, so only the first is explored.
+    interchangeable, so only the first is explored.  Labels go out in
+    increasing order, so each edge's placed labels form a sorted prefix
+    of its final tuple; the bound groups the undecided edges by that
+    prefix K and completes a group of k edges with the k least K + S,
+    S drawn from the labels still free, merged with the decided tuples.
 
 `canonical_labeling` runs both phases for the callers that return or
 store a form, where the lex-min order itself matters: `ForbiddenConfig`
@@ -33,9 +37,9 @@ Python, and desk-scale by design.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from itertools import combinations
-from math import comb
+from bisect import insort
+from heapq import merge
+from itertools import combinations, islice
 from typing import NamedTuple, Optional, Sequence
 
 Edge = tuple[int, ...]
@@ -236,50 +240,31 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
     assign = [-1] * n     # label -> old vertex
     maxtuple = (n,) * r
 
-    # Optimistic-completion pools: an edge still undecided once labels
-    # 0..j-1 are placed ends up as a tuple whose largest label is >= j,
-    # and distinct edges end up as distinct tuples.  pools[j] lists all
-    # such tuples in order, so merging `decided` with the first k pool
-    # entries lower-bounds every completable edge list.
-    if comb(n, r) <= 4096:
-        universe = list(combinations(range(n), r))
-        pools: Optional[list[list[Edge]]] = [
-            [t for t in universe if t[-1] >= j] for j in range(n)]
-    else:
-        pools = None
-
     def improve(final: list[Edge], here: tuple[int, ...]) -> None:
         nonlocal best, best_assign
         if final < best:
             best = list(final)
             best_assign = here
 
-    def bound_beats_best(j: int, decided: list[Edge]) -> bool:
+    def bound_beats_best(j: int, decided: list[Edge], known: list[Edge]) -> bool:
         """True iff the optimistic completion of `decided` is >= best
-        (so the subtree cannot strictly improve and may be cut)."""
-        k = m - len(decided)
-        if pools is not None:
-            pool = pools[j]
-            if k > len(pool):
-                return True
-            i = p = 0
-            nd = len(decided)
-            for b in best:
-                if i < nd and (p >= k or decided[i] <= pool[p]):
-                    t = decided[i]
-                    i += 1
-                else:
-                    t = pool[p]
-                    p += 1
-                if t != b:
-                    return t > b
-            return True  # optimistic completion equals best exactly
-        opt = tuple(range(r - 1)) + (j,)
-        cut = bisect_left(decided, opt)
-        lb = decided[:cut] + [opt] * k + decided[cut:]
-        return lb >= best
+        (so the subtree cannot strictly improve and may be cut).  The k
+        undecided edges with placed labels K end as k distinct tuples
+        K + S with S drawn from labels j..n-1, so the i-th least of them
+        is at least K + the i-th least such S."""
+        groups: dict[Edge, int] = {}
+        for placed in known:
+            if len(placed) < r:
+                groups[placed] = groups.get(placed, 0) + 1
+        free = range(j, n)
+        least = [map(placed.__add__, islice(combinations(free, r - len(placed)), k))
+                 for placed, k in groups.items()]
+        for t, b in zip(merge(decided, *least), best):
+            if t != b:
+                return t > b
+        return True  # optimistic completion equals best exactly
 
-    def search(j: int, decided: list[Edge]) -> None:
+    def search(j: int, decided: list[Edge], known: list[Edge]) -> None:
         if j == n:
             improve(decided, tuple(assign))
             return
@@ -289,18 +274,16 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
             rest = (u for u in range(n) if label_of[u] < 0)
             improve(decided, tuple(assign[:j]) + tuple(rest))
             return
-        if bound_beats_best(j, decided):
+        if bound_beats_best(j, decided, known):
             return
         scored = []
         for u in range(n):
             if label_of[u] >= 0:
                 continue
-            newly = []
-            for ei in incident_idx[u]:
-                e = edges[ei]
-                if all(label_of[w] >= 0 for w in e if w != u):
-                    newly.append(tuple(sorted((label_of[w] if w != u else j) for w in e)))
-            newly.sort()
+            # labels are placed in increasing order, so known[i] + (j,)
+            # is edge i's final tuple once u is its last vertex
+            newly = sorted(known[ei] + (j,) for ei in incident_idx[u]
+                           if len(known[ei]) == r - 1)
             scored.append((newly or [maxtuple], u, newly))
         scored.sort(key=lambda t: (t[0], t[1]))
         base = tuple(v for v in range(n) if label_of[v] >= 0)
@@ -317,13 +300,16 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
                 child = list(decided)
                 for t in newly:
                     insort(child, t)
-            search(j + 1, child)
+            placed = list(known)
+            for ei in incident_idx[u]:
+                placed[ei] = known[ei] + (j,)
+            search(j + 1, child, placed)
             label_of[u] = -1
             assign[j] = -1
             tried.append(u)
 
     try:
-        search(0, [])
+        search(0, [], [()] * m)
     finally:
         del search  # as in `refinement_scan`
     if best_assign is None:

@@ -452,7 +452,8 @@ def _store(record: TuranRecord, path: str) -> None:
 def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record of the current format, rechecking every
     stored extremal graph with `matching`'s packing search before
-    trusting it.  None on any mismatch, and for an n over the edge
+    trusting it.  None on any mismatch (an exact record has upper ==
+    value and a bool `extremal_complete`), and for an n over the edge
     budget, so that the solve raises as on a miss.  Over `_MAX_COPIES`
     copies in a stored graph raise, as they would in K_n's solve."""
     if comb(n, config.r) > _MAX_EDGES:
@@ -466,6 +467,9 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         if doc["format"] != _FORMAT:
             return None
         if doc["status"] != "exact" or doc["n"] != n or doc["r"] != config.r:
+            return None
+        if doc["upper"] != doc["value"] or not isinstance(
+                doc["extremal_complete"], bool):
             return None
         if doc["config_hash"] != config.hash_hex():
             return None

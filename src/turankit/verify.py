@@ -325,6 +325,8 @@ def check_facts(f: Hypergraph, p: Optional[Pattern], n: int) -> CheckReport:
     its size-n blowups are F-free, every EX(n,F) member is an entire
     blowup, and ex(n)-ex(n-1) caps the max degree over EX(n-1,F)."""
     t0 = time.perf_counter()
+    if n < 1:
+        raise ValueError(f"facts needs n >= 1, not {n}")
     cfg = config_of([(f, 1)])
     extremal = enumerate_extremal(n, cfg)
     prev = enumerate_extremal(n - 1, cfg) if p is not None else ()
@@ -450,7 +452,7 @@ def trim_low_degree(h: Hypergraph, eps: Fraction,
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
     n, r = h.n, h.r
-    big = comb(n - 1, r - 1)
+    big = comb(n - 1, r - 1) if n else 0  # a 0-vertex host trims nothing
 
     def below_cut(deg: int) -> bool:
         # deg <= (pi_hat - 2*sqrt(eps)) * big, exactly

@@ -8,18 +8,20 @@ compared exactly; the packing references share the package's copy
 tables and family normalization, so that witnesses compare exactly; the
 generation references share the package's feasibility check and orbit
 helpers, and keep their own vertex-profile invariant; the scan reference
-shares only the orbit oracle; the freezing-search reference shares the
-solver's copy tables and realization kernel.  Budgets: n <= 7 for
+shares only the orbit oracle; the lex-min labeling reference shares the
+phase-1 scan and the orbit oracle; the freezing-search reference shares
+the solver's copy tables and realization kernel.  Budgets: n <= 7 for
 relabeling scans, small edge counts for packing enumeration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from turankit.canon import Edge, Scan, _OrbitOracle
+from turankit.canon import Edge, Scan, _OrbitOracle, refinement_scan
 from turankit.core import Hypergraph, canonical_form
 from turankit.genfree import _orbit, _orbit_representatives
 from turankit.matching import (
@@ -636,6 +638,119 @@ def reference_refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
         del search  # it refers to itself: break the cycle, free the scan
     assert best_perm is not None and best_edges is not None
     return Scan(tuple(generators), best_perm, best_edges)
+
+
+def reference_canonical_labeling(n: int, edges: Sequence[Edge]):
+    """`canon.canonical_labeling` before its completion bound read the
+    labels each undecided edge already has: phase 2 bounds by a pool of
+    all r-tuples whose largest label is >= j (when C(n, r) <= 4096), else
+    by copies of (0, .., r-2, j).  Shares the phase-1 scan and the orbit
+    oracle with the package."""
+    generators, seed_perm, seed_edges = refinement_scan(n, edges)
+    if not edges:
+        return seed_perm, ()
+
+    m = len(edges)
+    r = len(edges[0])
+    incident_idx: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            incident_idx[v].append(i)
+
+    best: list[Edge] = list(seed_edges)
+    best_assign: Optional[tuple[int, ...]] = None
+
+    label_of = [-1] * n   # old vertex -> label
+    assign = [-1] * n     # label -> old vertex
+    maxtuple = (n,) * r
+
+    if comb(n, r) <= 4096:
+        universe = list(combinations(range(n), r))
+        pools: Optional[list[list[Edge]]] = [
+            [t for t in universe if t[-1] >= j] for j in range(n)]
+    else:
+        pools = None
+
+    def improve(final: list[Edge], here: tuple[int, ...]) -> None:
+        nonlocal best, best_assign
+        if final < best:
+            best = list(final)
+            best_assign = here
+
+    def bound_beats_best(j: int, decided: list[Edge]) -> bool:
+        k = m - len(decided)
+        if pools is not None:
+            pool = pools[j]
+            if k > len(pool):
+                return True
+            i = p = 0
+            nd = len(decided)
+            for b in best:
+                if i < nd and (p >= k or decided[i] <= pool[p]):
+                    t = decided[i]
+                    i += 1
+                else:
+                    t = pool[p]
+                    p += 1
+                if t != b:
+                    return t > b
+            return True
+        opt = tuple(range(r - 1)) + (j,)
+        cut = bisect_left(decided, opt)
+        lb = decided[:cut] + [opt] * k + decided[cut:]
+        return lb >= best
+
+    def search(j: int, decided: list[Edge]) -> None:
+        if j == n:
+            improve(decided, tuple(assign))
+            return
+        if len(decided) == m:
+            rest = (u for u in range(n) if label_of[u] < 0)
+            improve(decided, tuple(assign[:j]) + tuple(rest))
+            return
+        if bound_beats_best(j, decided):
+            return
+        scored = []
+        for u in range(n):
+            if label_of[u] >= 0:
+                continue
+            newly = []
+            for ei in incident_idx[u]:
+                e = edges[ei]
+                if all(label_of[w] >= 0 for w in e if w != u):
+                    newly.append(tuple(sorted((label_of[w] if w != u else j) for w in e)))
+            newly.sort()
+            scored.append((newly or [maxtuple], u, newly))
+        scored.sort(key=lambda t: (t[0], t[1]))
+        base = tuple(v for v in range(n) if label_of[v] >= 0)
+        oracle = _OrbitOracle(n, generators, base) if len(scored) > 1 else None
+        tried: list[int] = []
+        for _, u, newly in scored:
+            if tried and oracle is not None and oracle.same(u, tried):
+                tried.append(u)
+                continue
+            label_of[u] = j
+            assign[j] = u
+            child = decided
+            if newly:
+                child = list(decided)
+                for t in newly:
+                    insort(child, t)
+            search(j + 1, child)
+            label_of[u] = -1
+            assign[j] = -1
+            tried.append(u)
+
+    try:
+        search(0, [])
+    finally:
+        del search
+    if best_assign is None:
+        return seed_perm, seed_edges
+    perm = [0] * n
+    for label in range(n):
+        perm[best_assign[label]] = label
+    return tuple(perm), tuple(best)
 
 
 def _reference_vertex_profiles(n: int, edges: tuple):

@@ -1,17 +1,24 @@
 """The phase-1 refinement scan: its generators generate the whole
 automorphism group, and its certificate is an isomorphism invariant.
-Neither phase leaves garbage for the cyclic collector."""
+Phase 2 returns the same labeling as its pooled-bound reference, and
+fast on inputs that bound pruned poorly.  Neither phase leaves garbage
+for the cyclic collector."""
 
 import gc
+import random
+import time
 from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
 from turankit.canon import canonical_labeling, refinement_scan
-from turankit.core import Hypergraph, complete, disjoint_union, empty, join
+from turankit.core import (
+    Hypergraph, canonical_form, complete, disjoint_union, empty, join,
+)
 
 from oracles import (
-    automorphism_count, group_order, reference_refinement_scan, relabel,
+    automorphism_count, group_order, reference_canonical_labeling,
+    reference_refinement_scan, relabel,
 )
 
 # graphs whose automorphisms are mostly twin swaps or every permutation
@@ -81,6 +88,51 @@ def test_certificate_is_invariant_under_relabeling(g, rnd):
     scan = refinement_scan(g.n, g.edges)
     assert relabel(g, scan.perm).edges == scan.edges
     assert refinement_scan(g.n, relabel(g, perm).edges).edges == scan.edges
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 8), st.booleans(), st.data())
+def test_labeling_matches_reference(r, n, dense, data):
+    # the same lex-min edges and the same permutation, so the same
+    # config hashes, cache records and solver node counts; `dense` takes
+    # the complement, since drawn edge lists are short
+    pool = list(combinations(range(n), r))
+    drawn = set(data.draw(st.lists(st.sampled_from(pool), unique=True)
+                          if pool else st.just([])))
+    edges = tuple(e for e in pool if (e in drawn) != dense)
+    assert canonical_labeling(n, edges) == reference_canonical_labeling(n, edges)
+
+
+def test_labeling_matches_reference_on_symmetric_graphs():
+    for g in SYMMETRIC:
+        assert (canonical_labeling(g.n, g.edges)
+                == reference_canonical_labeling(g.n, g.edges))
+
+
+def test_sparse_graph_on_high_labels_is_fast():
+    # two triples sharing a pair, shuffled: the pooled bound ignored
+    # which labels an undecided edge already had and took 6.8 s here
+    n = 20
+    perm = list(range(n))
+    random.Random(1).shuffle(perm)
+    g = Hypergraph(n, 3, ((0, 1, 2), (0, 1, 3))).relabeled(perm)
+    t0 = time.perf_counter()
+    assert canonical_form(g).edges == ((0, 1, 2), (0, 1, 3))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_random_twelve_vertex_pair_is_fast():
+    # the G(12, 1/2) pair of the CLI's iso test: no automorphism, so no
+    # orbit pruning; the pooled bound took about a minute for the two forms
+    rng = random.Random(5)
+    g = Hypergraph(12, 2, tuple(e for e in combinations(range(12), 2)
+                                if rng.random() < 0.5))
+    perm = list(range(12))
+    rng.shuffle(perm)
+    h = g.relabeled(perm)
+    t0 = time.perf_counter()
+    assert canonical_form(g).edges == canonical_form(h).edges
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_labeling_leaves_no_cyclic_garbage():

@@ -115,8 +115,9 @@ def test_iso_exit_codes(files, capsys):
 
 
 def test_iso_on_a_random_twelve_vertex_pair(capsys, tmp_path):
-    # G(12, 1/2) with 32 edges and a relabeling: the lex-min search took
-    # about a minute on this pair, the refinement certificate milliseconds
+    # G(12, 1/2) with 32 edges and a relabeling: `iso` compares the
+    # refinement certificates, not the lex-min forms (test_canon times
+    # those on this pair)
     rng = random.Random(5)
     g = Hypergraph(12, 2, tuple(e for e in combinations(range(12), 2)
                                 if rng.random() < 0.5))
@@ -291,7 +292,10 @@ def test_zero_vertex_ranges_exit_2(files, capsys):
              "--to", "3", "--g", "0"],
             ["verify", "lemmas", "--n-max", "3",
              "--table", files["k3.hg"] + ":0:1"],
-            ["verify", "boundedness", "--F", files["k3.hg"], "--n", "0"]):
+            ["verify", "boundedness", "--F", files["k3.hg"], "--n", "0"],
+            ["verify", "facts", "--F", files["k3.hg"], "--n", "0"],
+            ["verify", "facts", "--F", files["k3.hg"], "--n", "0",
+             "--pattern", files["mantel.pat"]]):
         code, _, err = invoke(argv, capsys)
         assert code == 2 and err.startswith("error:"), argv
 

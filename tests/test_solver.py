@@ -217,6 +217,41 @@ def test_cache_rejects_tampered_records(cache):
     assert again.value == rec.value == 9
 
 
+def _tamper(cache, **fields) -> str:
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc.update(fields)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def test_cache_recomputes_an_exact_record_with_a_wide_bracket(cache):
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    path = _tamper(cache, upper=99)
+    assert solver._load(path, 6, cfg) is None
+    again = max_edges(6, cfg, cache_dir=cache)
+    assert again.status == "exact" and again.value == again.upper == 9
+    assert again.extremal == rec.extremal
+
+
+def test_cache_recomputes_a_record_with_a_non_bool_completeness(cache, monkeypatch):
+    # "no" is truthy: read as it stands, the record would pass as complete
+    cfg = config_of([(K3, 1)])
+    max_edges(6, cfg, cache_dir=cache)
+    path = _tamper(cache, extremal_complete="no")
+    assert solver._load(path, 6, cfg) is None
+    solves = []
+    solve = solver._solve
+    monkeypatch.setattr(solver, "_solve",
+                        lambda *args: solves.append(args) or solve(*args))
+    graphs = enumerate_extremal(6, cfg, cache_dir=cache)
+    assert len(solves) == 1 and len(graphs) == 1
+    assert solver._load(path, 6, cfg).extremal_complete is True
+
+
 def test_cache_recomputes_records_of_other_formats(cache):
     cfg = config_of([(K3_ISO, 2)])
     assert max_edges(6, cfg, cache_dir=cache).value == 15

@@ -266,6 +266,12 @@ def test_facts_flags_wrong_pattern():
     assert any("no full assignment" in v.actual for v in report.violations)
 
 
+def test_facts_refuses_zero_vertices():
+    for p in (None, MANTEL):
+        with pytest.raises(ValueError, match="n >= 1, not 0"):
+            check_facts(K3, p, 0)
+
+
 # ------------------------------------------------------------- matchings
 
 
@@ -367,6 +373,13 @@ def test_trim_relabels_order_preserving():
     z, trimmed, _ = trim_low_degree(h, Fraction(1, 100), Fraction(2, 3))
     assert z == (0,)
     assert trimmed == Hypergraph(3, 2, ((0, 1), (0, 2), (1, 2)))
+
+
+def test_trim_zero_vertex_host_trims_nothing():
+    h = Hypergraph(0, 2, ())
+    z, trimmed, report = trim_low_degree(h, Fraction(1, 100), Fraction(1, 2))
+    assert z == () and trimmed == h
+    assert report.status == "pass"
 
 
 def test_trim_eps_validation():
