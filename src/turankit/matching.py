@@ -19,10 +19,12 @@ solver's realizations run without; exact values come from asking
 s = 1, 2, ... of one bit space, with one memo, until the answer flips.  A host is a family
 of its own in rainbow matchings.
 
-All searches are exact and deterministic; the public functions limit
-hosts to n <= 16 (desk-scale fixtures).  The solver's cache rechecks its
-stored graphs through `_disjoint_config`, bounded by the solver's own
-edge and copy budgets instead.
+All searches are exact and deterministic.  One budget bounds every copy
+table: `_embeddings` raises `BudgetExceededError` on listing copy
+`_MAX_COPIES` + 1 of one pattern, so the solver's tables, its cache
+recheck and the packings here stop at the same count.  A host on n
+vertices has no more copies of F than K_n has, so a packing on a graph
+the solver built or checked stays inside the budget its table met.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ from typing import Iterator, Optional, Sequence
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
 
-_BUDGET_N = 16
+# The copy budget, checked as copies are listed: a bit space takes
+# (C(n, r) + copies) x copies bits.  The most copies any test, acceptance
+# criterion or benchmark workload lists is 20160, an asymmetric 6-vertex
+# pattern in K8 that a matching test can draw (Fano at n = 10 has 3600).
+_MAX_COPIES = 30_000
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,8 @@ def _embeddings(f: Hypergraph, n: int, host_edges,
     mapping tuple.  A copy is a coset of Aut(f): the pair (edge image,
     vertex image).  Each copy is represented by its lex-least embedding
     in `_pattern_order` coordinates, and copies come in that same lex
-    order, so the first embedding yielded is the lex-least of all."""
+    order, so the first embedding yielded is the lex-least of all.
+    `BudgetExceededError` on copy `_MAX_COPIES` + 1."""
     if f.n > n:
         return
     checks, lows, degs, where = _plan(f)
@@ -164,7 +171,10 @@ def _embeddings(f: Hypergraph, n: int, host_edges,
     blocked = set(blocked)
     cands = [[w for w in range(n) if w not in blocked and hdegs[w] >= d]
              for d in degs]
-    for a in _dfs(checks, lows, cands, host_edges):
+    for count, a in enumerate(_dfs(checks, lows, cands, host_edges), 1):
+        if count > _MAX_COPIES:
+            raise BudgetExceededError(
+                f"more than {_MAX_COPIES} copies of one pattern")
         yield tuple(a[k] for k in where)
 
 
@@ -182,26 +192,18 @@ def is_free(f: Hypergraph, h: Hypergraph) -> bool:
     return embed(f, h) is None
 
 
-def _copies(f: Hypergraph, h: Hypergraph, max_copies: Optional[int] = None
+def _copies(f: Hypergraph, h: Hypergraph
             ) -> list[tuple[int, tuple[int, ...], Embedding]]:
     """All copies of f in h as (vertex bitmask, vertex tuple, embedding),
     deduplicated by vertex set (first embedding kept) and sorted by
-    vertex tuple; `BudgetExceededError` past max_copies copies, if given."""
+    vertex tuple."""
     if f.r != h.r:
         raise ValueError("packing requires equal uniformity")
     found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for count, mapping in enumerate(_embeddings(f, h.n, set(h.edges)), 1):
-        if max_copies is not None and count > max_copies:
-            raise BudgetExceededError(
-                f"more than {max_copies} copies of a forbidden family")
+    for mapping in _embeddings(f, h.n, set(h.edges)):
         found.setdefault(tuple(sorted(mapping)), mapping)
     return [(sum(1 << v for v in key), key, Embedding(found[key]))
             for key in sorted(found)]
-
-
-def _check_budget(h: Hypergraph) -> None:
-    if h.n > _BUDGET_N:
-        raise BudgetExceededError(f"packing search budget is n <= {_BUDGET_N}")
 
 
 def _normalize_families(config) -> list[tuple[Hypergraph, int, int]]:
@@ -352,7 +354,6 @@ def matching_number(f: Hypergraph, h: Hypergraph,
                     cap: Optional[int] = None) -> tuple[int, MatchingWitness]:
     """Largest number of pairwise vertex-disjoint copies of f in h (with
     its witness); stops early once `cap` disjoint copies are found."""
-    _check_budget(h)
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
     pack = _pack_copies([_copies(f, h)], [(0, 0)])
@@ -371,14 +372,8 @@ def has_disjoint_config(h: Hypergraph, config) -> Optional[MatchingWitness]:
     with all copies pairwise vertex-disjoint — or None.  Isomorphic
     families are merged first (their demands add up); witness entries
     carry the original index of each family's first occurrence."""
-    _check_budget(h)
-    return _disjoint_config(h, config)
-
-
-def _disjoint_config(h, config, max_copies=None) -> Optional[MatchingWitness]:
-    """`has_disjoint_config` with `_copies`'s budget in place of the host's."""
     families = _normalize_families(config)
-    pack = _pack_copies([_copies(f, h, max_copies) for f, _, _ in families],
+    pack = _pack_copies([_copies(f, h) for f, _, _ in families],
                         [(0, first) for _, _, first in families])
     return pack([t for _, t, _ in families], set())
 
@@ -392,7 +387,6 @@ def rainbow_matching(hosts: Sequence[Hypergraph],
     n, r = hosts[0].n, hosts[0].r
     if any(g.n != n or g.r != r for g in hosts):
         raise ValueError("rainbow hosts must share vertex count and uniformity")
-    _check_budget(hosts[0])
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
     # each host is a family of its own, with demand 1

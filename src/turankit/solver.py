@@ -38,7 +38,9 @@ search), strengthened by packing — p violating realizations that are
 pairwise disjoint on non-frozen edges force p distinct deletions, giving
 the bound count − p.  Copies of each family in the complete r-graph
 are precomputed once, from `matching._embeddings`, and numbered in one
-bit space, so that sets of copies are integers.  Per edge the table holds
+bit space, so that sets of copies are integers (at most C(n, r) <=
+`_MAX_EDGES` edges and the enumerator's `matching._MAX_COPIES` copies
+per family).  Per edge the table holds
 the copies that use it, per copy the copies that share a vertex with it;
 a copy's vertices are the image of all v(F) vertices, so isolated
 vertices of F take part in disjointness.  Each search node carries its
@@ -77,8 +79,8 @@ from typing import Optional, Sequence
 
 from .core import Hypergraph, canonical_form
 from .errors import BudgetExceededError
-from .matching import (_bits, _conflicts, _disjoint_config, _embeddings,
-                       _normalize_families, _pack, _spans, _union)
+from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
+                       _pack, _spans, _union, has_disjoint_config)
 
 _DEFAULT_NODE_LIMIT = 10_000_000
 _DEFAULT_CACHE_DIR = ".turankit-cache"
@@ -86,13 +88,11 @@ _DEFAULT_CACHE_DIR = ".turankit-cache"
 # a stored value, so that records written before the change are misses.
 # Format 2: isolated vertices of F take part in disjointness.
 _FORMAT = 2
-# Size budgets, checked before the tables they bound are allocated: the
-# copy tables take (C(n, r) + copies) x copies bits.  The largest universe
-# any test, acceptance criterion or benchmark workload builds is
-# C(17, 2) = 136 edges; the most copies, 20160, an asymmetric 6-vertex
-# pattern in K8 that a matching test can draw (Fano at n = 10 has 3600).
+# The edge budget, checked before the universe is built; the copy tables
+# stop at `matching._MAX_COPIES` copies of one family.  The largest
+# universe any test, acceptance criterion or benchmark workload builds is
+# C(17, 2) = 136 edges.
 _MAX_EDGES = 1000
-_MAX_COPIES = 30_000
 
 
 def _node_limit(override: Optional[int]) -> int:
@@ -203,17 +203,13 @@ class _Searcher:
         """Every copy of f on n vertices, one (edge mask, vertex mask)
         each, sorted by edge bits then vertex mask for determinism.  The
         vertex mask is the image of all v(f) vertices, isolated ones
-        included."""
-        copies = set()
-        for mapping in _embeddings(f, self.n, self.index):
-            # distinct edges and vertices of f have distinct images
-            emask = sum(1 << self.index[tuple(sorted(mapping[v] for v in e))]
-                        for e in f.edges)
-            copies.add((emask, sum(1 << w for w in mapping)))
-            if len(copies) > _MAX_COPIES:
-                raise BudgetExceededError(
-                    f"more than {_MAX_COPIES} copies of a forbidden family")
-        return sorted(copies, key=lambda c: (list(_bits(c[0])), c[1]))
+        included; `_embeddings` yields each copy once."""
+        # distinct edges and vertices of f have distinct images
+        copies = [(sum(1 << self.index[tuple(sorted(mapping[v] for v in e))]
+                       for e in f.edges), sum(1 << w for w in mapping))
+                  for mapping in _embeddings(f, self.n, self.index)]
+        copies.sort(key=lambda c: (list(_bits(c[0])), c[1]))
+        return copies
 
     def alive_in(self, w: int) -> int:
         """The copies inside edge set w, as a bitset over copy indices."""
@@ -453,9 +449,11 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record of the current format, rechecking every
     stored extremal graph with `matching`'s packing search before
     trusting it.  None on any mismatch (an exact record has upper ==
-    value and a bool `extremal_complete`), and for an n over the edge
-    budget, so that the solve raises as on a miss.  Over `_MAX_COPIES`
-    copies in a stored graph raise, as they would in K_n's solve."""
+    value, a bool `extremal_complete` and at least one graph, all
+    distinct, as the solver writes them), and for an n over the edge
+    budget, so that the solve raises as on a miss.  Over
+    `matching._MAX_COPIES` copies in a stored graph raise, as they would
+    in K_n's solve."""
     if comb(n, config.r) > _MAX_EDGES:
         return None
     try:
@@ -476,8 +474,10 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         graphs = tuple(Hypergraph(n, config.r,
                                   tuple(tuple(e) for e in edges))
                        for edges in doc["extremal"])
-        if any(g.edge_count != doc["value"] or _disjoint_config(
-                g, config.families, _MAX_COPIES) is not None for g in graphs):
+        if not graphs or len(set(graphs)) != len(graphs):
+            return None
+        if any(g.edge_count != doc["value"] or has_disjoint_config(
+                g, config.families) is not None for g in graphs):
             return None
         return TuranRecord(n, config.r, doc["config_hash"], "exact",
                            doc["value"], doc["upper"], graphs,

@@ -351,6 +351,23 @@ def test_verify_matching(files, capsys):
     assert code == 0
 
 
+def test_verify_main_theorem_past_sixteen_vertices(files, capsys):
+    # part (iii) packs copies of F in hosts of 17 vertices: the copy
+    # budget bounds it, not the host size
+    code, text, _ = invoke(["verify", "main-theorem", "--F", files["k2.hg"],
+                            "--n", "17", "--t", "1"], capsys)
+    assert code == 0 and "pass" in text
+
+
+def test_nu_over_the_copy_budget(files, capsys, tmp_path):
+    # K16 holds 52 416 five-cycles, a copy table `ex` refuses as well
+    c5, k16 = str(tmp_path / "c5.hg"), str(tmp_path / "k16.hg")
+    dump_hg(Hypergraph(5, 2, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))), c5)
+    dump_hg(complete(16, 2), k16)
+    code, text, err = invoke(["nu", c5, k16], capsys)
+    assert code == 3 and text == "" and "copies" in err
+
+
 def test_verify_rainbow_seed_contract(files, capsys):
     argv = ["verify", "rainbow", "--F", files["k3.hg"], "--n", "7",
             "--t", "0", "--trials", "3"]

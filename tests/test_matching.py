@@ -224,10 +224,14 @@ def test_rainbow_too_many_hosts():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        matching_number(K3, complete(17, 2))
-    with pytest.raises(BudgetExceededError):
-        has_disjoint_config(complete(17, 2), [(K3, 1)])
+    # the copy budget bounds the packings, not the host size: K17 holds
+    # 680 triangles, K16 holds 52 416 five-cycles
+    assert matching_number(K3, complete(17, 2))[0] == 5
+    assert has_disjoint_config(complete(17, 2), [(K3, 5)]) is not None
+    with pytest.raises(BudgetExceededError, match="copies"):
+        matching_number(cycle_graph(5), complete(16, 2))
+    with pytest.raises(BudgetExceededError, match="copies"):
+        rainbow_matching([complete(16, 2)], cycle_graph(5))
 
 
 def test_relabeling_invariance():

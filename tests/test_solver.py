@@ -252,6 +252,28 @@ def test_cache_recomputes_a_record_with_a_non_bool_completeness(cache, monkeypat
     assert solver._load(path, 6, cfg).extremal_complete is True
 
 
+def test_cache_recomputes_an_exact_record_without_graphs(cache):
+    # read as it stands: ex = 14 (it is 9), and [] a complete class list
+    cfg = config_of([(K3, 1)])
+    rec = enumerate_extremal(6, cfg, cache_dir=cache)
+    path = _tamper(cache, extremal=[], value=14, upper=14)
+    assert solver._load(path, 6, cfg) is None
+    assert max_edges(6, cfg, cache_dir=cache).value == 9
+    # the value-mode solve stored an incomplete record: tamper it again
+    _tamper(cache, extremal=[], value=14, upper=14, extremal_complete=True)
+    assert enumerate_extremal(6, cfg, cache_dir=cache) == rec
+
+
+def test_cache_recomputes_an_exact_record_listing_a_graph_twice(cache):
+    cfg = config_of([(K3, 1)])
+    rec = enumerate_extremal(6, cfg, cache_dir=cache)
+    assert len(rec) == 1
+    edges = [list(e) for e in rec[0].edges]
+    path = _tamper(cache, extremal=[edges, edges])
+    assert solver._load(path, 6, cfg) is None
+    assert enumerate_extremal(6, cfg, cache_dir=cache) == rec
+
+
 def test_cache_recomputes_records_of_other_formats(cache):
     cfg = config_of([(K3_ISO, 2)])
     assert max_edges(6, cfg, cache_dir=cache).value == 15
@@ -295,8 +317,8 @@ def test_interrupted_cache_write_keeps_previous_record(cache, monkeypatch):
 
 
 def test_cache_round_trip_at_seventeen(cache, monkeypatch):
-    # revalidation runs the packing search without the public 16-vertex
-    # budget of `has_disjoint_config`, so a host of 17 reloads as well
+    # revalidation runs the packing search under the copy budget alone,
+    # so a host of 17 reloads as well
     cfg = config_of([(EDGE2, 2)])
     first = max_edges(17, cfg, cache_dir=cache)
     assert first.value == 16  # Erdős–Gallai: max(C(3,2), C(17,2) - C(16,2))
@@ -368,12 +390,12 @@ def test_cache_recheck_stops_at_the_copy_budget(cache, monkeypatch):
     monkeypatch.setattr(solver, "_embeddings", counted)
     with pytest.raises(BudgetExceededError, match="copies"):
         max_edges(13, cfg, cache_dir=cache)
-    assert len(listed) <= solver._MAX_COPIES + 1
+    assert len(listed) <= matching._MAX_COPIES + 1
 
 
 def test_size_budget(cache, monkeypatch):
     # the fixed budgets clear the largest instances the suite builds
-    assert comb(17, 2) <= solver._MAX_EDGES and 20160 <= solver._MAX_COPIES
+    assert comb(17, 2) <= solver._MAX_EDGES and 20160 <= matching._MAX_COPIES
     monkeypatch.setattr(solver, "_MAX_EDGES", 10)
     _Searcher(5, config_of([(K3, 1)]))        # C(5, 2) = 10 edges
     _Searcher(5, config_of([(EDGE3, 1)]))     # C(5, 3) = 10
@@ -383,7 +405,7 @@ def test_size_budget(cache, monkeypatch):
     with pytest.raises(BudgetExceededError):
         max_edges(6, config_of([(K3, 1)]), cache_dir=cache)
     monkeypatch.setattr(solver, "_MAX_EDGES", 1000)
-    monkeypatch.setattr(solver, "_MAX_COPIES", 20)
+    monkeypatch.setattr(matching, "_MAX_COPIES", 20)
     _Searcher(6, config_of([(K3, 1)]))        # C(6, 3) = 20 triangles
     with pytest.raises(BudgetExceededError):
         _Searcher(7, config_of([(K3, 1)]))    # 35

@@ -177,6 +177,13 @@ def test_main_theorem_solves_each_instance_once(monkeypatch, tmp_path):
     assert calls == [(8, 1), (9, 2)]
 
 
+def test_main_theorem_and_rainbow_past_sixteen_vertices():
+    # the packings of (iii) and the rainbow trials run on 17 vertices
+    edge = complete(2, 2)
+    assert check_main_theorem(edge, 17, 1).status == "pass"
+    assert check_rainbow(edge, 17, 1, trials=20, rng_seed=3).status == "pass"
+
+
 def test_main_theorem_needs_at_most_n_apexes():
     with pytest.raises(ValueError, match=r"t=4 must satisfy 0 <= t <= n=3"):
         check_main_theorem(K3, 3, 4)
