@@ -21,12 +21,18 @@ re-evaluated exactly before anything is reported.
 sizes.  What the parts still open can add is bounded by exact maxima of
 smaller patterns: the profiles restricted to the open parts, one pattern
 per restricted size.  Their rows lambda_0..lambda_n come from the same
-search, recursively, and are memoised for the length of one call only.
+search, recursively.  One process-wide memo keeps each pattern's row,
+every entry with its lexicographically largest maximizer, and extends a
+row when a longer one is asked for; `lambda_n` reads its answer off the
+pattern's own row, so a pattern asked for directly and the same pattern
+met as a sub-pattern share one row.  The memo holds at most `_ROWS_CAP`
+patterns and is emptied when a new one would exceed that.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -45,6 +51,14 @@ _LAMBDA_MAX_N = 200
 _SUB_MAX_K = 4
 _SUB_MAX_N = 24
 _SNAP_DENOMINATOR = 10 ** 6
+# patterns whose rows the memo keeps; a row holds at most
+# _LAMBDA_MAX_N + 1 entries
+_ROWS_CAP = 256
+# (k, multisets) -> (values, maximizers): lambda_0, lambda_1, ... and the
+# lexicographically largest composition attaining each
+_ROWS: dict = {}
+# two threads extending one row would interleave its entries
+_ROWS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -114,12 +128,16 @@ def blowup_count(p: Pattern, c: Sequence[int]) -> int:
     return total
 
 
+def _check_lambda_budget(k: int, n: int) -> None:
+    if k > _LAMBDA_MAX_K or n > _LAMBDA_MAX_N:
+        raise BudgetExceededError(
+            f"lambda_n budget is k <= {_LAMBDA_MAX_K}, n <= {_LAMBDA_MAX_N}")
+
+
 def lambda_n(p: Pattern, n: int) -> tuple[int, Composition]:
     """Exact maximum blowup count over all compositions of n, with the
     lexicographically largest maximizer."""
-    if p.k > _LAMBDA_MAX_K or n > _LAMBDA_MAX_N:
-        raise BudgetExceededError(
-            f"lambda_n budget is k <= {_LAMBDA_MAX_K}, n <= {_LAMBDA_MAX_N}")
+    _check_lambda_budget(p.k, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if p.k == 0 or not p.multisets:
@@ -127,7 +145,9 @@ def lambda_n(p: Pattern, n: int) -> tuple[int, Composition]:
             raise ValueError("positive n with no parts")
         best = (n,) + (0,) * (p.k - 1) if p.k else ()
         return 0, best
-    return _BlowupSearch(p.k, p.multisets, n, {}).best(n, -1)
+    with _ROWS_LOCK:
+        values, comps = _row(p.k, p.multisets, n)
+        return values[n], comps[n]
 
 
 class _BlowupSearch:
@@ -147,10 +167,11 @@ class _BlowupSearch:
     sum_d (max_{|z|=d} W_z) * lambda_R(Z_{i,d}), where Z_{i,d} is the
     pattern on the k - i remaining parts whose profiles are the z of size
     d.  Each Z_{i,d} has fewer parts, so its row lambda_0..lambda_n comes
-    from this search recursively; `rows` memoises the rows by (parts,
-    profiles) for one top-level call and every user shares them."""
+    from this search recursively, through the process-wide memo that
+    every user shares.  The caps below only loosen as n grows, so a
+    search for a larger n gives the same answer at every total."""
 
-    def __init__(self, k: int, multisets, n: int, rows: dict):
+    def __init__(self, k: int, multisets, n: int):
         self.k, self.n = k, n
         self.sizes = [0] * k
         self.mults = [tuple(y.count(part) for part in range(1, k + 1))
@@ -206,7 +227,7 @@ class _BlowupSearch:
             for t, z in enumerate(zs[i]):
                 by_d.setdefault(len(z), []).append(t)
             self.bounds[i] = [
-                (_row(k - i, tuple(sorted(zs[i][t] for t in ts)), n, rows),
+                (_row(k - i, tuple(sorted(zs[i][t] for t in ts)), n)[0],
                  ts[0], ts[-1] + 1)
                 for ts in by_d.values()]
 
@@ -261,28 +282,49 @@ class _BlowupSearch:
             self.walk(i + 1, remaining - s, nxt)
 
 
-def _row(k: int, multisets, n: int, rows: dict) -> list[int]:
-    """lambda_0..lambda_n of the pattern (k, multisets), memoised in
-    `rows`.  Entry R starts from the best one-vertex extension of entry
-    R - 1's maximizer: the walk keeps only counts above that extension's
-    count minus one, which the maximum reaches."""
+def _row(k: int, multisets, n: int) -> tuple[list[int], list[Composition]]:
+    """lambda_0..lambda_n of the pattern (k, multisets) and their
+    lexicographically largest maximizers, read from the process-wide
+    memo; a row there with fewer entries is extended in place (the
+    caller holds `_ROWS_LOCK`).  Entry R starts from the
+    best one-vertex extension of entry R - 1's maximizer: the walk keeps
+    only counts above that extension's count minus one, which the maximum
+    reaches, and so returns the same maximizer as an unseeded walk."""
     key = (k, multisets)
-    if key in rows:
-        return rows[key]
+    row = _ROWS.get(key)
+    if row is not None and len(row[0]) > n:
+        return row
     if len(multisets[0]) <= 1:
-        # the empty profile counts 1 everywhere; a 1-uniform pattern
-        # counts R with every vertex in one of its parts
-        row = [1] * (n + 1) if not multisets[0] else list(range(n + 1))
+        # the empty profile counts 1 everywhere, a 1-uniform pattern R
+        # once every vertex is in one of its parts: all R in the first
+        # such part (part 1 for the empty profile) is the lexicographically
+        # largest maximizer
+        search = None
+        part = multisets[0][0] - 1 if multisets[0] else 0
     else:
-        search = _BlowupSearch(k, multisets, n, rows)
-        value, comp = search.best(0, -1)
-        row = [value]
-        for total in range(1, n + 1):
-            floor = max(search.count(comp[:j] + (comp[j] + 1,) + comp[j + 1:])
-                        for j in range(k)) - 1
+        search = _BlowupSearch(k, multisets, n)
+    if key not in _ROWS:
+        # stored after the search filled its sub-pattern rows, so a clear
+        # they caused cannot drop it
+        if len(_ROWS) >= _ROWS_CAP:
+            _ROWS.clear()
+        row = _ROWS[key] = row if row is not None else ([], [])
+    values, comps = row
+    # a maximizer past the last value is an interrupted extension's
+    del comps[len(values):]
+    for total in range(len(values), n + 1):
+        if search is None:
+            value = total if multisets[0] else 1
+            comp = (0,) * part + (total,) + (0,) * (k - 1 - part)
+        else:
+            floor = -1
+            if total:
+                c = comps[-1]
+                floor = max(search.count(c[:j] + (c[j] + 1,) + c[j + 1:])
+                            for j in range(k)) - 1
             value, comp = search.best(total, floor)
-            row.append(value)
-    rows[key] = row
+        comps.append(comp)
+        values.append(value)
     return row
 
 
@@ -338,6 +380,8 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     if p.k == 0 or not p.multisets:
         witness = _uniform(p.k)
         return LagrangianEstimate(Fraction(0), Fraction(0), witness, N)
+    # the bound needs lambda_n(p, N): refuse before the ascent
+    _check_lambda_budget(p.k, N)
 
     coefs = []
     for y in p.multisets:

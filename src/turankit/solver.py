@@ -77,7 +77,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .core import Hypergraph, canonical_form
+from .core import Hypergraph, _class_key, canonical_form
 from .errors import BudgetExceededError
 from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
                        _pack, _spans, _union, has_disjoint_config)
@@ -449,8 +449,8 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record of the current format, rechecking every
     stored extremal graph with `matching`'s packing search before
     trusting it.  None on any mismatch (an exact record has upper ==
-    value, a bool `extremal_complete` and at least one graph, all
-    distinct, as the solver writes them), and for an n over the edge
+    value, a bool `extremal_complete` and at least one graph, no two
+    isomorphic, as the solver writes them), and for an n over the edge
     budget, so that the solve raises as on a miss.  Over
     `matching._MAX_COPIES` copies in a stored graph raise, as they would
     in K_n's solve."""
@@ -474,7 +474,10 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         graphs = tuple(Hypergraph(n, config.r,
                                   tuple(tuple(e) for e in edges))
                        for edges in doc["extremal"])
-        if not graphs or len(set(graphs)) != len(graphs):
+        # one graph per class: records holding one graph, as most do,
+        # skip the scans
+        if not graphs or (len(graphs) > 1 and len(
+                {_class_key(g) for g in graphs}) != len(graphs)):
             return None
         if any(g.edge_count != doc["value"] or has_disjoint_config(
                 g, config.families) is not None for g in graphs):

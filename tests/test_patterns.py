@@ -8,6 +8,8 @@ with per-profile suffix maxima instead of exact sub-pattern rows.
 """
 
 import gc
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
@@ -170,6 +172,37 @@ def test_lambda_budget():
         lambda_n(MANTEL, 201)
 
 
+def test_bracket_budget_refuses_before_the_ascent(monkeypatch):
+    # the upper end needs lambda_n(p, N): over its budget, no exact
+    # evaluation of the ascent's points is paid for first
+    evals = []
+    evaluate = patterns.density_poly_eval
+    monkeypatch.setattr(patterns, "density_poly_eval",
+                        lambda *args: evals.append(args) or evaluate(*args))
+    for call in (lambda: lagrangian(kl_pattern(7)),
+                 lambda: is_minimal(kl_pattern(7)),
+                 lambda: lagrangian(MANTEL, N=201)):
+        with pytest.raises(BudgetExceededError,
+                           match=r"lambda_n budget is k <= 6, n <= 200"):
+            call()
+    assert evals == []
+    # a pattern without profiles needs no lambda_n, so it stays answered
+    assert lagrangian(Pattern(7, 2, ())).upper == 0
+
+
+def test_row_memo_stays_under_its_cap():
+    # more new patterns than the cap: the memo empties and refills
+    pool = list(combinations_with_replacement(range(1, 5), 2))
+    sizes = []
+    for mask in range(1, patterns._ROWS_CAP + 50):
+        chosen = tuple(y for bit, y in enumerate(pool) if mask >> bit & 1)
+        p = Pattern(4, 2, chosen)
+        assert lambda_n(p, 4) == brute_lambda(p, 4)
+        sizes.append(len(patterns._ROWS))
+    assert max(sizes) <= patterns._ROWS_CAP
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
 def test_density_poly_examples():
     third = Fraction(1, 3)
     half = Fraction(1, 2)
@@ -323,6 +356,8 @@ def test_pattern_searches_leave_no_cyclic_garbage():
     # on return, without the cyclic collector
     k3 = kl_pattern(3)
     host = turan(9, 3, 2)
+    # rows the memo already holds would leave lambda_n nothing to build
+    patterns._ROWS.clear()
     calls = (lambda: lambda_n(k3, 30), lambda: lagrangian(k3),
              lambda: is_minimal(k3), lambda: is_subconstruction(host, k3),
              lambda: full_construction_assignment(host, k3))
@@ -370,9 +405,9 @@ def test_pat_format_errors():
 
 
 @st.composite
-def small_patterns(draw, min_k=1, max_k=4):
+def small_patterns(draw, min_k=1, max_k=4, min_r=1):
     k = draw(st.integers(min_value=min_k, max_value=max_k))
-    r = draw(st.integers(min_value=1, max_value=3))
+    r = draw(st.integers(min_value=min_r, max_value=3))
     pool = list(combinations_with_replacement(range(1, k + 1), r))
     chosen = draw(st.lists(st.sampled_from(pool), min_size=0,
                            max_size=len(pool), unique=True))
@@ -406,6 +441,74 @@ def test_lambda_brute_property(p, n):
 @given(small_patterns(min_k=3, max_k=5), st.integers(min_value=9, max_value=24))
 def test_lambda_matches_reference_walk_property(p, n):
     assert lambda_n(p, n) == reference_lambda_n(p, n)
+
+
+@st.composite
+def memo_queries(draw):
+    """A few patterns, each asked at a few sizes, all in a random order."""
+    ps = draw(st.lists(small_patterns(max_k=5, min_r=2), min_size=1,
+                       max_size=3))
+    queries = [(p, n) for p in ps
+               for n in draw(st.lists(st.integers(min_value=0, max_value=20),
+                                      min_size=1, max_size=4))]
+    return draw(st.permutations(queries))
+
+
+# a longer row of K4 after K5's search filled it as a sub-pattern row,
+# then a shorter one read off it; and a row extended twice
+@example([(kl_pattern(5), 10), (kl_pattern(4), 20), (kl_pattern(5), 20),
+          (kl_pattern(4), 3)])
+@example([(B3_PAT, 5), (B3_PAT, 12), (B3_PAT, 20), (B3_PAT, 0)])
+@settings(max_examples=100, deadline=None)
+@given(memo_queries())
+def test_lambda_memo_answers_do_not_depend_on_order(queries):
+    # whatever the memo holds when the queries come, each answer equals
+    # the suffix-bound walk's and a cleared memo's
+    got = [lambda_n(p, n) for p, n in queries]
+    assert len(patterns._ROWS) <= patterns._ROWS_CAP
+    saved = dict(patterns._ROWS)
+    try:
+        for (p, n), answer in zip(queries, got):
+            assert answer == reference_lambda_n(p, n)
+            patterns._ROWS.clear()
+            assert lambda_n(p, n) == answer
+    finally:
+        patterns._ROWS.clear()
+        patterns._ROWS.update(saved)
+
+
+def test_lambda_memo_shared_by_threads():
+    # threads switching every microsecond extend the same rows at once;
+    # each answer must still equal a lone cleared-memo call's
+    queries = [(p, n) for n in (6, 14, 9, 20, 3, 17)
+               for p in (kl_pattern(4), kl_pattern(5), B3_PAT,
+                         all_profiles(4, 2, (1, 1)))]
+    want = {}
+    for q in queries:
+        patterns._ROWS.clear()
+        want[q] = lambda_n(*q)
+    patterns._ROWS.clear()
+    got = []
+
+    def ask(order):
+        got.extend((q, lambda_n(*q)) for q in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # each thread starts at a different point of the list
+        threads = [threading.Thread(target=ask,
+                                    args=(queries[5 * i:] + queries[:5 * i],))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 4 * len(queries)
+    assert all(answer == want[q] for q, answer in got)
 
 
 @given(small_patterns())

@@ -274,6 +274,20 @@ def test_cache_recomputes_an_exact_record_listing_a_graph_twice(cache):
     assert enumerate_extremal(6, cfg, cache_dir=cache) == rec
 
 
+def test_cache_recomputes_an_exact_record_listing_one_class_twice(cache):
+    # the graph and its copy under the swap of vertices 0 and 1 are
+    # distinct edge lists of one class
+    cfg = config_of([(K3, 1)])
+    rec = enumerate_extremal(6, cfg, cache_dir=cache)
+    assert len(rec) == 1
+    swap = {0: 1, 1: 0}
+    swapped = sorted(sorted(swap.get(v, v) for v in e) for e in rec[0].edges)
+    assert swapped != [list(e) for e in rec[0].edges]
+    path = _tamper(cache, extremal=[[list(e) for e in rec[0].edges], swapped])
+    assert solver._load(path, 6, cfg) is None
+    assert enumerate_extremal(6, cfg, cache_dir=cache) == rec
+
+
 def test_cache_recomputes_records_of_other_formats(cache):
     cfg = config_of([(K3_ISO, 2)])
     assert max_edges(6, cfg, cache_dir=cache).value == 15
