@@ -5,14 +5,15 @@ edge list over all vertex permutations (edge tuples sorted ascending, edge
 lists sorted, lists compared lexicographically).  That global minimum is
 found in two phases:
 
-1.  `refinement_scan`: a refinement/individualization scan (classical
-    partition refinement, branching over the first smallest non-singleton
-    cell) whose leaves yield concrete relabelings.  Pairs of leaves with
-    equal relabeled edge lists reveal automorphisms, and a subtree is
-    skipped only when a found automorphism maps it onto one already
-    explored, so the found generators generate all of Aut(G).  The least
-    leaf's relabeled edge list is an isomorphism invariant, and a complete
-    one (the phase-1 certificate), but not the global lex-min;
+1.  `refinement_scan`: a refinement/individualization scan (partition
+    refinement from the degree classes, branching over the first smallest
+    non-singleton cell) whose leaves yield concrete relabelings.  Twin
+    swaps inside the root's cells and pairs of leaves with equal relabeled
+    edge lists reveal automorphisms, and a subtree is skipped only when a
+    found automorphism maps it onto one already explored, so the found
+    generators generate all of Aut(G).  The least leaf's relabeled edge
+    list is an isomorphism invariant, and a complete one (the phase-1
+    certificate), but not the global lex-min;
 
 2.  an exact branch-and-bound that assigns labels 0..n-1 one vertex at a
     time, pruning with (a) a sound optimistic completion bound on the
@@ -56,15 +57,23 @@ class Scan(NamedTuple):
 
 def _refine(n: int, edges: Sequence[Edge], incident: Sequence[Sequence[int]],
             cells: list[list[int]]) -> list[list[int]]:
-    """Split cells by incidence signatures until the partition is stable:
-    a vertex's signature is the sorted list of the cell codes of its edges
-    (`incident` holds edge indices), all taken from the round's partition."""
+    """Split sorted cells by incidence signatures until the partition is
+    stable: a vertex's signature is the sorted list of the codes of its
+    edges (`incident` holds edge indices), an edge's code its sorted cell
+    indices read as a base-n number, all from the round's partition."""
     while len(cells) < n:
         cell_of = [0] * n
         for ci, cell in enumerate(cells):
             for v in cell:
                 cell_of[v] = ci
-        codes = [tuple(sorted([cell_of[u] for u in e])) for e in edges]
+        cell_at = cell_of.__getitem__
+        codes = []
+        for e in edges:
+            code = 0
+            for c in sorted(map(cell_at, e)):
+                code = code * n + c
+            codes.append(code)
+        code_of = codes.__getitem__
         new_cells: list[list[int]] = []
         changed = False
         for cell in cells:
@@ -73,14 +82,13 @@ def _refine(n: int, edges: Sequence[Edge], incident: Sequence[Sequence[int]],
                 continue
             buckets: dict[tuple, list[int]] = {}
             for v in cell:
-                sig = tuple(sorted([codes[i] for i in incident[v]]))
+                sig = tuple(sorted(map(code_of, incident[v])))
                 buckets.setdefault(sig, []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
             else:
                 changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(sorted(buckets[sig]))
+                new_cells.extend(buckets[sig] for sig in sorted(buckets))
         cells = new_cells
         if not changed:
             break
@@ -92,7 +100,6 @@ class _OrbitOracle:
     automorphisms that fix `base` pointwise."""
 
     def __init__(self, n: int, generators: Sequence[tuple[int, ...]], base):
-        self.n = n
         self.parent = list(range(n))
         for g in generators:
             if all(g[b] == b for b in base):
@@ -116,13 +123,17 @@ class _OrbitOracle:
         return any(self._find(u) == rv for u in others)
 
 
-def _twin_transpositions(n: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]:
+def _twin_transpositions(n: int, edges: Sequence[Edge],
+                         cells: list[list[int]]) -> list[tuple[int, ...]]:
     """Automorphisms that are free to detect: transpositions (u v) whose
-    swap maps the edge set onto itself.  With link(w) the bitsets of the
-    (r-1)-sets e - w over the edges e at w, the swap is one exactly when
-    every set in link(u) ^ link(v) contains u or v: a set of link(u)
+    swap maps the edge set onto itself, in (u, v) order; u and v share a
+    cell of the invariant partition `cells`.  With link(w) the bitsets of
+    the (r-1)-sets e - w over the edges e at w, the swap is one exactly
+    when every set in link(u) ^ link(v) contains u or v: a set of link(u)
     holding v comes from an edge through both, which the swap fixes, and
     every other set of either link must lie in the other."""
+    if len(cells) == n:
+        return []
     links: list[set[int]] = [set() for _ in range(n)]
     for e in edges:
         whole = 0
@@ -130,21 +141,16 @@ def _twin_transpositions(n: int, edges: Sequence[Edge]) -> list[tuple[int, ...]]
             whole |= 1 << v
         for v in e:
             links[v].add(whole ^ (1 << v))
-    out = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if len(links[u]) == len(links[v]):
-                uv = (1 << u) | (1 << v)
-                if all(s & uv for s in links[u] ^ links[v]):
-                    g = list(range(n))
-                    g[u], g[v] = v, u
-                    out.append(tuple(g))
-    return out
+    twins = sorted((u, v) for cell in cells for u, v in combinations(cell, 2)
+                   if all(s & (1 << u | 1 << v) for s in links[u] ^ links[v]))
+    return [tuple([v if w == u else u if w == v else w for w in range(n)])
+            for u, v in twins]
 
 
 def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
     """Phase 1: automorphism generators and the least leaf of the
-    refinement tree, seeded with the twin transpositions."""
+    refinement tree, seeded with the twin transpositions.  The root starts
+    from the unit partition's first round: the degree classes, ascending."""
     if not edges:
         # Aut is every permutation: the adjacent transpositions generate it
         adjacent = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
@@ -154,11 +160,17 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
     for i, e in enumerate(edges):
         for v in e:
             incident[v].append(i)
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(len(incident[v]), []).append(v)
+    root = [by_degree[d] for d in sorted(by_degree)]
+    if len(root) > 1:  # one class is stable: its round splits nothing
+        root = _refine(n, edges, incident, root)
 
     best_edges: Optional[tuple[Edge, ...]] = None
     best_perm: Optional[tuple[int, ...]] = None
-    leaf_seen: dict[tuple[Edge, ...], tuple[int, ...]] = {}
-    generators = _twin_transpositions(n, edges)
+    leaf_seen: dict[tuple[Edge, ...], list[list[int]]] = {}  # edges -> leaf
+    generators = _twin_transpositions(n, edges, root)
     gen_set = set(generators)
 
     def visit_leaf(cells: list[list[int]]) -> None:
@@ -166,16 +178,12 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
         perm = [0] * n
         for pos, cell in enumerate(cells):
             perm[cell[0]] = pos
-        relabeled = tuple(sorted(tuple(sorted(perm[v] for v in e)) for e in edges))
-        prev = leaf_seen.get(relabeled)
-        if prev is None:
-            leaf_seen[relabeled] = tuple(perm)
-        else:
-            inv_prev = [0] * n
-            for v in range(n):
-                inv_prev[prev[v]] = v
-            gamma = tuple(inv_prev[perm[v]] for v in range(n))
-            if gamma not in gen_set and any(gamma[v] != v for v in range(n)):
+        label = perm.__getitem__
+        relabeled = tuple(sorted([tuple(sorted(map(label, e))) for e in edges]))
+        prev = leaf_seen.setdefault(relabeled, cells)
+        if prev is not cells:  # two leaves differ in order: gamma is no identity
+            gamma = tuple([prev[pos][0] for pos in perm])
+            if gamma not in gen_set:
                 gen_set.add(gamma)
                 generators.append(gamma)
         if best_edges is None or relabeled < best_edges:
@@ -183,32 +191,24 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
             best_perm = tuple(perm)
 
     def search(cells: list[list[int]], base: tuple[int, ...]) -> None:
-        cells = _refine(n, edges, incident, cells)
-        target = -1
-        size = n + 1
-        for idx, cell in enumerate(cells):
-            if 1 < len(cell) < size:
-                target = idx
-                size = len(cell)
-        if target < 0:
+        # `cells` comes refined; branch on its first smallest open cell
+        if len(cells) == n:
             visit_leaf(cells)
             return
+        _, target = min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)
         explored: list[int] = []
         oracle, known = None, -1  # rebuilt only when generators grow
         for v in cells[target]:
-            if explored:
-                if known < len(generators):
-                    oracle, known = _OrbitOracle(n, generators, base), len(generators)
-                if oracle.same(v, explored):
-                    explored.append(v)
-                    continue
-            rest = [u for u in cells[target] if u != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1:]
-            search(child, base + (v,))
+            if explored and known < len(generators):
+                oracle, known = _OrbitOracle(n, generators, base), len(generators)
+            if not explored or not oracle.same(v, explored):
+                rest = [u for u in cells[target] if u != v]
+                child = cells[:target] + [[v], rest] + cells[target + 1:]
+                search(_refine(n, edges, incident, child), base + (v,))
             explored.append(v)
 
     try:
-        search([list(range(n))], ())
+        search(root, ())
     finally:
         del search  # it refers to itself: break the cycle, free the scan
     assert best_perm is not None and best_edges is not None

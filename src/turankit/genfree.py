@@ -19,15 +19,16 @@ generate the automorphism group, and its least-leaf relabeled edge list
 is an isomorphism invariant, so the chosen orbit does not depend on the
 labeling.  An accepted child's scan is reused as its own parent scan;
 a child whose added edge does not have the least key is rejected before
-its scan.  Feasibility (no forbidden realization) is downward closed,
-so the tree never needs to look above an infeasible graph.  Everything
-is deterministic; one graph per isomorphism class is yielded in the
-generated labeling.
+its feasibility check and its scan, by a walk over the parent's edges
+ranked by key.  Feasibility (no forbidden realization) is downward
+closed, so the tree never needs to look above an infeasible graph.
+Everything is deterministic; one graph per isomorphism class is yielded
+in the generated labeling.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .canon import Scan, refinement_scan
 from .core import Hypergraph
@@ -41,7 +42,7 @@ def _orbit(s: tuple, generators) -> set:
     while stack:
         t = stack.pop()
         for g in generators:
-            u = tuple(sorted(g[v] for v in t))
+            u = tuple(sorted(map(g.__getitem__, t)))
             if u not in orbit:
                 orbit.add(u)
                 stack.append(u)
@@ -51,6 +52,8 @@ def _orbit(s: tuple, generators) -> set:
 def _orbit_representatives(candidates: list, generators) -> list:
     """The least candidate r-set of each automorphism orbit; `candidates`
     is in increasing order and closed under the generators."""
+    if not generators:
+        return candidates
     reps = []
     seen: set = set()
     for s in candidates:
@@ -58,27 +61,6 @@ def _orbit_representatives(candidates: list, generators) -> list:
             reps.append(s)
             seen |= _orbit(s, generators)
     return reps
-
-
-def _is_canonical_addition(n: int, edges: tuple, added: tuple,
-                           deg: list) -> Optional[Scan]:
-    """The graph's scan if `added` lies in its canonical-deletion orbit,
-    else None; `deg` holds the graph's degrees."""
-    key_added = sorted(deg[v] for v in added)
-    tied = []
-    for e in edges:
-        key = sorted(deg[v] for v in e)
-        if key < key_added:
-            return None
-        if key == key_added:
-            tied.append(e)
-    scan = refinement_scan(n, edges)
-    if len(tied) > 1:
-        perm = scan.perm
-        least = min(tied, key=lambda e: sorted(perm[v] for v in e))
-        if added not in _orbit(least, scan.generators):
-            return None
-    return scan
 
 
 def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
@@ -90,19 +72,37 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
     def visit(mask: int, edges: tuple, scan: Scan,
               deg: list) -> Iterator[Hypergraph]:
         yield Hypergraph(n, s.r, edges)
-        present = set(edges)
-        candidates = [e for e in universe if e not in present]
+        candidates = [e for i, e in enumerate(universe) if not mask >> i & 1]
+        # the parent's (key, edge) pairs in increasing order; adding an
+        # edge never lowers a key, so a child's walk stops at the first
+        # parent key above the key of its added edge
+        ranked = sorted([(sorted([deg[v] for v in e]), e) for e in edges])
         for e in _orbit_representatives(candidates, scan.generators):
-            child_mask = mask | (1 << s.index[e])
-            if not s.is_feasible(child_mask):
-                continue
-            child_edges = tuple(sorted(edges + (e,)))
             child_deg = list(deg)
             for v in e:
                 child_deg[v] += 1
-            child_scan = _is_canonical_addition(n, child_edges, e, child_deg)
-            if child_scan is not None:
-                yield from visit(child_mask, child_edges, child_scan, child_deg)
+            key_added = sorted([child_deg[v] for v in e])
+            tied = [e]
+            for key, f in ranked:
+                if key > key_added:
+                    break
+                key = sorted([child_deg[v] for v in f])
+                if key < key_added:
+                    tied = None
+                    break
+                if key == key_added:
+                    tied.append(f)
+            child_mask = mask | (1 << s.index[e])
+            if tied is None or not s.is_feasible(child_mask):
+                continue
+            child_edges = tuple(sorted(edges + (e,)))
+            child_scan = refinement_scan(n, child_edges)
+            if len(tied) > 1:  # is e in the orbit of the least image?
+                perm = child_scan.perm
+                least = min(tied, key=lambda t: sorted(perm[v] for v in t))
+                if e not in _orbit(least, child_scan.generators):
+                    continue
+            yield from visit(child_mask, child_edges, child_scan, child_deg)
 
     yield from visit(0, (), refinement_scan(n, ()), [0] * n)
 

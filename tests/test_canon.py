@@ -17,8 +17,8 @@ from turankit.core import (
 )
 
 from oracles import (
-    automorphism_count, group_order, reference_canonical_labeling,
-    reference_refinement_scan, relabel,
+    automorphism_count, cycle_graph, fano_graph, group_order,
+    reference_canonical_labeling, reference_refinement_scan, relabel,
 )
 
 # graphs whose automorphisms are mostly twin swaps or every permutation
@@ -35,10 +35,12 @@ SYMMETRIC = [
                            if (u < 3) != (v < 3) or u >= 5)),           # plus an edge
 ]
 
+K33 = Hypergraph(6, 2, tuple((u, v) for u in range(3) for v in range(3, 6)))
+
 
 @st.composite
 def small_hypergraphs(draw, max_n=7):
-    r = draw(st.sampled_from([2, 3]))
+    r = draw(st.sampled_from([1, 2, 3, 4]))
     n = draw(st.integers(0, max_n))
     pool = list(combinations(range(n), r))
     edges = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
@@ -72,6 +74,13 @@ def test_scan_matches_reference_on_symmetric_graphs():
 
 @settings(max_examples=200)
 @given(small_hypergraphs(max_n=8))
+# the root is the degree classes: one class for the regular C6, K_{3,3}
+# and Fano plane, a class of isolated vertices, and a 1-uniform graph
+@example(cycle_graph(6))
+@example(K33)
+@example(fano_graph())
+@example(Hypergraph(8, 2, ((0, 1), (1, 2), (3, 4))))
+@example(Hypergraph(6, 1, ((0,), (2,), (3,))))
 def test_scan_matches_reference(g):
     # the same generators in the same order, the same least leaf
     assert refinement_scan(g.n, g.edges) == reference_refinement_scan(g.n, g.edges)

@@ -164,6 +164,17 @@ def test_matches_scan_reference_exactly_triangle_free_eight():
                       reference_scan_free_graphs(8, cfg, degree_edge_keys)]
 
 
+def test_matches_scan_reference_exactly_on_dense_inputs():
+    # the dense generate inputs of the benchmark: every graph on 7
+    # vertices and every 3-graph on 6 vertices (the reference takes ~2 s)
+    for n, r, classes in ((7, 2, 1044), (6, 3, 2136)):
+        cfg = config_of([(complete(n + 1, r), 1)])
+        engine = [g.edges for g in free_graphs(n, cfg)]
+        assert len(engine) == classes
+        assert engine == [g.edges for g in
+                          reference_scan_free_graphs(n, cfg, degree_edge_keys)]
+
+
 def test_pinned_scan_count(monkeypatch):
     # one scan per accepted graph plus one per child that passes the
     # sorted-degree key and fails the tie-break (416 with the finer
