@@ -6,8 +6,12 @@ A "copy" of a pattern F is an embedding up to the automorphisms of F,
 i.e. the pair (edge image, vertex image); its vertex image holds all
 v(F) vertices, isolated ones included.  `_embeddings`, the one copy
 enumerator (the solver's copy tables read it too), yields each copy's
-lex-least embedding, in lex order.  Packings only care about vertex
-sets, so `_copies` keeps the first embedding per vertex set.
+lex-least embedding, in lex order.  Its backtracking, `_dfs`, runs on
+vertex bitsets: one pass over the host's edges builds the link of every
+(r-1)-set S, the bitset of the vertices that complete S to an edge, so a
+position's candidates are one mask, narrowed by an AND per pattern edge
+it completes, and are tried lowest bit first.  Packings only care about
+vertex sets, so `_copies` keeps the first embedding per vertex set.
 
 One kernel, `_pack`, finds every disjoint packing, the solver's
 realizations included: copies are numbered in one bit space, family by
@@ -115,41 +119,90 @@ def _plan(f: Hypergraph):
               for es in _edge_checks(f, order)]
     fdegs = f.degrees()
     degs = [fdegs[v] for v in order]
-    free = [[u for u in range(f.n) if fdegs[u] == d] for d in degs]
-    own = set(f.edges)
+    free = [sum(1 << u for u in range(f.n) if fdegs[u] == d) for d in degs]
+    own, _ = _links(f.n, f.edges)
     lows: list[list[int]] = [[] for _ in order]
     for i in range(f.n):
         for k in range(i + 1, f.n):
-            pinned = [[v] for v in order[:i]] + [[order[k]]] + free[i + 1:]
+            pinned = ([1 << v for v in order[:i]] + [1 << order[k]]
+                      + free[i + 1:])
             if next(_dfs(checks, [()] * f.n, pinned, own), None) is not None:
                 lows[k].append(i)
     return checks, lows, degs, where
 
 
-def _dfs(checks, lows, cands, host_edges):
+def _links(n: int, host_edges) -> tuple[dict[int, int], list[int]]:
+    """The links and degrees of an r-graph on n vertices, in one pass over
+    its edges (vertex tuples): link[S] = the bitset of the vertices w
+    with S + {w} an edge, for each (r-1)-set S keyed by its vertex
+    bitmask (sets with an empty link are left out), and degs[v] = the
+    number of edges holding v."""
+    link: dict[int, int] = {}
+    degs = [0] * n
+    for e in host_edges:
+        m = 0
+        for v in e:
+            m |= 1 << v
+            degs[v] += 1
+        for v in e:
+            s = m ^ 1 << v
+            link[s] = link.get(s, 0) | 1 << v
+    return link, degs
+
+
+def _dfs(checks, lows, cands, link):
     """Injective position assignments a, in lex order, with a[k] drawn from
-    cands[k], a[k] > a[i] for every i in lows[k], and every edge in
-    checks[k] mapped into host_edges.  Yields one list, updated in place."""
+    the bitset cands[k], a[k] > a[i] for every i in lows[k], and every edge
+    in checks[k] (a position tuple holding k) mapped onto an edge of the
+    host whose links `_links` gave.  Yields one list, updated in place.
+
+    The candidates of position k are one mask (Ullmann, J. ACM 23, 1976):
+    cands[k] less the used vertices, less everything at or below a[i] for
+    each i in lows[k], and ANDed with link[S] for each edge in checks[k],
+    S the images of its other positions.  Its bits are walked upward, so
+    each a[k] is tried in increasing order."""
+    last = len(cands) - 1
     a = [0] * len(cands)
-    used: set[int] = set()
+    if last < 0:
+        yield a
+        return
+    others = [[tuple(p for p in e if p != k) for e in es]
+              for k, es in enumerate(checks)]
+    bit = [0] * len(cands)  # bit[i] = 1 << a[i], for i < k
+    left = [0] * len(cands)  # the untried candidates of each position
 
-    # go recurses through its argument: no closure refers to itself
-    def go(again, k: int):
-        if k == len(cands):
-            yield a
+    def options(k: int, used: int) -> int:
+        m = cands[k] & ~used
+        for i in lows[k]:
+            m &= -(bit[i] << 1)
+        for ps in others[k]:
+            s = 0
+            for p in ps:
+                s |= bit[p]
+            m &= link.get(s, 0)
+        return m
+
+    used = 0
+    k = 0
+    left[0] = options(0, 0)
+    while True:
+        m = left[k]
+        if m:
+            low = m & -m
+            left[k] = m ^ low
+            a[k] = low.bit_length() - 1
+            if k == last:
+                yield a
+            else:
+                bit[k] = low
+                used |= low
+                k += 1
+                left[k] = options(k, used)
+        elif k:
+            k -= 1
+            used ^= bit[k]
+        else:
             return
-        lo = max((a[i] for i in lows[k]), default=-1)
-        for w in cands[k]:
-            if w <= lo or w in used:
-                continue
-            a[k] = w
-            if all(tuple(sorted([a[p] for p in e])) in host_edges
-                   for e in checks[k]):
-                used.add(w)
-                yield from again(again, k + 1)
-                used.remove(w)
-
-    return go(go, 0)
 
 
 def _embeddings(f: Hypergraph, n: int, host_edges,
@@ -164,14 +217,11 @@ def _embeddings(f: Hypergraph, n: int, host_edges,
     if f.n > n:
         return
     checks, lows, degs, where = _plan(f)
-    hdegs = [0] * n
-    for e in host_edges:
-        for v in e:
-            hdegs[v] += 1
+    link, hdegs = _links(n, host_edges)
     blocked = set(blocked)
-    cands = [[w for w in range(n) if w not in blocked and hdegs[w] >= d]
-             for d in degs]
-    for count, a in enumerate(_dfs(checks, lows, cands, host_edges), 1):
+    cands = [sum(1 << w for w in range(n)
+                 if w not in blocked and hdegs[w] >= d) for d in degs]
+    for count, a in enumerate(_dfs(checks, lows, cands, link), 1):
         if count > _MAX_COPIES:
             raise BudgetExceededError(
                 f"more than {_MAX_COPIES} copies of one pattern")
@@ -356,6 +406,8 @@ def matching_number(f: Hypergraph, h: Hypergraph,
     its witness); stops early once `cap` disjoint copies are found."""
     if f.n == 0:
         raise ValueError("pattern must have at least one vertex")
+    if cap is not None and cap < 0:
+        raise ValueError("cap must be nonnegative")
     pack = _pack_copies([_copies(f, h)], [(0, 0)])
     dead: set = set()  # a failure stays one as the lone demand grows
     witness = MatchingWitness(())

@@ -36,20 +36,22 @@ them.
 Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
 pairwise disjoint on non-frozen edges force p distinct deletions, giving
-the bound count − p.  Copies of each family in the complete r-graph
-are precomputed once, from `matching._embeddings`, and numbered in one
+the bound count − p.  Copies of each family in the complete r-graph are
+precomputed once, from `matching._embeddings` (the link-bitset
+enumerator, handed K_n's edge index as its host), and numbered in one
 bit space, so that sets of copies are integers (at most C(n, r) <=
 `_MAX_EDGES` edges and the enumerator's `matching._MAX_COPIES` copies
-per family).  Per edge the table holds
-the copies that use it, per copy the copies that share a vertex with it;
-a copy's vertices are the image of all v(F) vertices, so isolated
-vertices of F take part in disjointness.  Each search node carries its
-alive set, the copies inside its graph: a child that deletes edge e
-takes the parent's set minus e's copies.  A realization is then found
-by `matching._pack`, the one disjoint-copy kernel: lowest-bit scans over
-the alive set, each chosen copy striking out its vertex conflicts
-(bit-parallel candidate sets, as in San Segundo, Rodríguez-Losada &
-Jiménez, Comput. Oper. Res. 2011).
+per family).  A copy's edge mask is read from a map of each r-set's
+vertex bitmask to its edge index, so no image edge is sorted.  Per edge
+the table holds the copies that use it, per copy the copies that share a
+vertex with it; a copy's vertices are the image of all v(F) vertices, so
+isolated vertices of F take part in disjointness.  Each search node
+carries its alive set, the copies inside its graph: a child that deletes
+edge e takes the parent's set minus e's copies.  A realization is then
+found by `matching._pack`, the one disjoint-copy kernel: lowest-bit
+scans over the alive set, each chosen copy striking out its vertex
+conflicts (bit-parallel candidate sets, as in San Segundo,
+Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
 
 Value mode asks "is there a feasible graph with more than k edges?" and,
 when there is, finds the largest.  With a feasible seed it asks once, k
@@ -204,10 +206,16 @@ class _Searcher:
         each, sorted by edge bits then vertex mask for determinism.  The
         vertex mask is the image of all v(f) vertices, isolated ones
         included; `_embeddings` yields each copy once."""
-        # distinct edges and vertices of f have distinct images
-        copies = [(sum(1 << self.index[tuple(sorted(mapping[v] for v in e))]
-                       for e in f.edges), sum(1 << w for w in mapping))
-                  for mapping in _embeddings(f, self.n, self.index)]
+        # distinct edges and vertices of f have distinct images, so a
+        # sum of vertex bits is the image's vertex mask
+        at = {sum(1 << v for v in e): i for e, i in self.index.items()}
+        copies = []
+        for mapping in _embeddings(f, self.n, self.index):
+            b = [1 << w for w in mapping]
+            em = 0
+            for e in f.edges:
+                em |= 1 << at[sum([b[v] for v in e])]
+            copies.append((em, sum(b)))
         copies.sort(key=lambda c: (list(_bits(c[0])), c[1]))
         return copies
 

@@ -3,8 +3,8 @@
 Everything here is deliberately naive (factorial/exponential) and written
 without reusing the package's search code, so the two sides can
 cross-check each other.  The copy-enumerator references share only the
-package's static pattern order, so that their output order can be
-compared exactly; the packing references share the package's copy
+package's static pattern order, and the enumerator kernel's reference
+its search plan, so that their output order can be compared exactly; the packing references share the package's copy
 tables and family normalization, so that witnesses compare exactly; the
 generation references share the package's feasibility check and orbit
 helpers, and keep their own vertex-profile invariant; the scan reference
@@ -264,6 +264,34 @@ def reference_solver_copies(f: Hypergraph, n: int) -> list[tuple[int, int]]:
             if emask not in out:
                 out[emask] = sum(1 << perm[v] for v in {u for e in f.edges for u in e})
     return sorted(out.items(), key=lambda c: [i for i in range(len(index)) if c[0] >> i & 1])
+
+
+def reference_dfs(checks, lows, cands, host_edges):
+    """`matching._dfs` before the link bitsets: injective position
+    assignments a, in lex order, with a[k] drawn from the list cands[k],
+    a[k] > a[i] for every i in lows[k], and every edge in checks[k]
+    mapped into host_edges, probed one sorted tuple per edge and per
+    candidate.  Yields one list, updated in place."""
+    a = [0] * len(cands)
+    used: set[int] = set()
+
+    # go recurses through its argument: no closure refers to itself
+    def go(again, k: int):
+        if k == len(cands):
+            yield a
+            return
+        lo = max((a[i] for i in lows[k]), default=-1)
+        for w in cands[k]:
+            if w <= lo or w in used:
+                continue
+            a[k] = w
+            if all(tuple(sorted([a[p] for p in e])) in host_edges
+                   for e in checks[k]):
+                used.add(w)
+                yield from again(again, k + 1)
+                used.remove(w)
+
+    return go(go, 0)
 
 
 def group_order(n: int, generators) -> int:

@@ -143,6 +143,10 @@ def test_nu_and_cap(files, capsys):
         capsys)
     doc = json.loads(text)
     assert doc["nu"] == 2 and len(doc["witness"]) == 2
+    # nu(K3, K3) = 1, so a negative cap has no answer to stop at
+    code, text, err = invoke(
+        ["nu", files["k3.hg"], files["k3.hg"], "--cap", "-1"], capsys)
+    assert code == 2 and text == "" and "cap" in err
 
 
 def test_embed_decision(files, capsys):

@@ -9,16 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 from turankit.core import Hypergraph, complete, disjoint_union, join
 from turankit.errors import BudgetExceededError
 from turankit.matching import (
-    _copies, _embeddings, embed, has_disjoint_config, is_free,
-    matching_number, rainbow_matching,
+    _copies, _dfs, _embeddings, _links, _plan, embed, has_disjoint_config,
+    is_free, matching_number, rainbow_matching,
 )
 from turankit.solver import _Searcher, config_of
 from turankit.zoo import bipartite3, fano, turan
 
 from oracles import (
     all_copies, automorphism_count, brute_has_config, brute_matching_number,
-    cycle_graph, reference_copies, reference_embed, reference_solver_copies,
-    relabel, turan_graph,
+    cycle_graph, reference_copies, reference_dfs, reference_embed,
+    reference_solver_copies, relabel, turan_graph,
 )
 
 K3 = complete(3, 2)
@@ -92,6 +92,66 @@ def test_complete_host_one_embedding_per_copy(fn):
         assert all(bin(vm).count("1") == g.n for _, vm in got)
 
 
+@st.composite
+def nearly_complete(draw, r, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    pool = list(combinations(range(n), r))
+    drop = draw(st.sets(st.integers(0, len(pool) - 1), max_size=4))
+    return Hypergraph(n, r, tuple(e for i, e in enumerate(pool)
+                                  if i not in drop))
+
+
+@st.composite
+def dfs_inputs(draw):
+    """A search over a pattern's plan: a host given as a set or as an
+    edge -> index dict (as the solver passes it); candidate lists that are
+    either `_embeddings`' own, the vertices outside a blocked set with
+    enough degree, or arbitrary, single vertices among them; and the
+    plan's lex bounds or arbitrary ones.  Returns (f, n, edges, cands,
+    lows, blocked), blocked None unless the search is the one
+    `_embeddings` makes."""
+    r = draw(st.sampled_from([1, 2, 3, 4]))
+    f = draw(small_rgraphs(r, r, 5))  # isolated vertices included
+    _, lows, degs, _ = _plan(f)
+    h = draw(st.one_of(small_rgraphs(r, f.n, 7), st.just(f),
+                       nearly_complete(r, f.n, 7)))
+    edges = ({e: i for i, e in enumerate(h.edges)} if draw(st.booleans())
+             else set(h.edges))
+    blocked = None
+    if draw(st.booleans()):
+        blocked = draw(st.sets(st.integers(0, h.n - 1), max_size=3))
+        hdegs = h.degrees()
+        cands = [[w for w in range(h.n) if w not in blocked and hdegs[w] >= d]
+                 for d in degs]
+    else:
+        # one position in four pinned to a single vertex
+        cands = [sorted(draw(st.sets(st.integers(0, h.n - 1), min_size=1,
+                                     max_size=1 if draw(st.integers(0, 3)) == 0
+                                     else None)))
+                 for _ in range(f.n)]
+    if draw(st.booleans()):
+        blocked = None
+        lows = [sorted(draw(st.sets(st.integers(0, k - 1)))) if k else []
+                for k in range(f.n)]
+    return f, h.n, edges, cands, lows, blocked
+
+
+@settings(max_examples=300)
+@given(dfs_inputs())
+def test_dfs_matches_reference(search):
+    # the link-bitset kernel yields the probing walk's assignments, order
+    # included, whoever the caller; `_embeddings` reads its copies off them
+    f, n, edges, cands, lows, blocked = search
+    checks, _, _, where = _plan(f)
+    ref = [list(a) for a in reference_dfs(checks, lows, cands, edges)]
+    masks = [sum(1 << w for w in ws) for ws in cands]
+    got = [list(a) for a in _dfs(checks, lows, masks, _links(n, edges)[0])]
+    assert got == ref
+    if blocked is not None:
+        assert list(_embeddings(f, n, edges, blocked)) == [
+            tuple(a[k] for k in where) for a in ref]
+
+
 def test_embed_examples():
     assert embed(K3, turan_graph(6, 2)) is None
     e = embed(K3, complete(5, 2), forbidden=(0, 1))
@@ -145,6 +205,8 @@ def test_matching_cap():
     nu, w = matching_number(K3, complete(9, 2), cap=1)
     assert nu == 1 and len(w) == 1
     assert matching_number(K3, complete(9, 2), cap=7)[0] == 3
+    with pytest.raises(ValueError):
+        matching_number(K3, K3, cap=-1)
 
 
 @given(small_2graphs())

@@ -407,6 +407,36 @@ def test_cache_recheck_stops_at_the_copy_budget(cache, monkeypatch):
     assert len(listed) <= matching._MAX_COPIES + 1
 
 
+def test_copy_budget_trips_in_the_recheck_of_a_stored_graph(cache, monkeypatch):
+    # ex(7, 2K3) = 15: K3 joined to four independent vertices, 13 triangles;
+    # the budget is checked while the stored graph is rechecked, before
+    # any solve
+    cfg = config_of([(K3, 2)])
+    first = max_edges(7, cfg, cache_dir=cache)
+    assert [len(matching._copies(K3, g)) for g in first.extremal] == [13]
+
+    def no_search(*args):
+        raise AssertionError("searched again")
+
+    listed = []
+    real = matching._embeddings
+
+    def counted(*args):
+        for mapping in real(*args):
+            listed.append(mapping)
+            yield mapping
+
+    monkeypatch.setattr(solver, "_solve", no_search)
+    monkeypatch.setattr(matching, "_embeddings", counted)
+    monkeypatch.setattr(matching, "_MAX_COPIES", 13)
+    assert max_edges(7, cfg, cache_dir=cache) == first
+    listed.clear()
+    monkeypatch.setattr(matching, "_MAX_COPIES", 12)
+    with pytest.raises(BudgetExceededError, match="copies"):
+        max_edges(7, cfg, cache_dir=cache)
+    assert len(listed) == 12
+
+
 def test_size_budget(cache, monkeypatch):
     # the fixed budgets clear the largest instances the suite builds
     assert comb(17, 2) <= solver._MAX_EDGES and 20160 <= matching._MAX_COPIES
