@@ -59,21 +59,26 @@ def _refine(n: int, edges: Sequence[Edge], incident: Sequence[Sequence[int]],
             cells: list[list[int]]) -> list[list[int]]:
     """Split sorted cells by incidence signatures until the partition is
     stable: a vertex's signature is the sorted list of the codes of its
-    edges (`incident` holds edge indices), an edge's code its sorted cell
-    indices read as a base-n number, all from the round's partition."""
+    edges (`incident` holds edge indices), all from the round's partition
+    of k cells.  An edge's code is -sum over its vertices v of
+    (r+1)^(k-1-cell(v)): the edge's count vector (how many of its vertices
+    lie in cell 0, 1, ...) read as a base-(r+1) number, negated.  A cell
+    holds at most r < r+1 of an edge's vertices, so no digit carries, and
+    of two r-multisets of cells the one with more vertices in the first
+    cell where they differ has the lexicographically smaller sorted cell
+    tuple: codes order edges exactly as their sorted cell tuples do."""
+    if not edges:
+        return cells
+    base = len(edges[0]) + 1
     while len(cells) < n:
-        cell_of = [0] * n
-        for ci, cell in enumerate(cells):
+        weight = [0] * n
+        w = -1
+        for cell in reversed(cells):
             for v in cell:
-                cell_of[v] = ci
-        cell_at = cell_of.__getitem__
-        codes = []
-        for e in edges:
-            code = 0
-            for c in sorted(map(cell_at, e)):
-                code = code * n + c
-            codes.append(code)
-        code_of = codes.__getitem__
+                weight[v] = w
+            w *= base
+        weight_at = weight.__getitem__
+        code_of = [sum(map(weight_at, e)) for e in edges].__getitem__
         new_cells: list[list[int]] = []
         changed = False
         for cell in cells:

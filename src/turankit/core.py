@@ -63,6 +63,15 @@ class Hypergraph:
                 raise ValueError(f"duplicate edge {a}")
         object.__setattr__(self, "edges", tuple(norm))
 
+    @classmethod
+    def _unchecked(cls, n: int, r: int, edges: tuple[Edge, ...]) -> "Hypergraph":
+        """The graph without `__post_init__`'s checks, for internal callers
+        whose `edges` is already a sorted, duplicate-free tuple of
+        increasing r-tuples over 0..n-1.  Never for outside data."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, r=r, edges=edges)
+        return g
+
     # -- basic queries -------------------------------------------------
 
     @property

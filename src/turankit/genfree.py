@@ -14,21 +14,27 @@ Two filters keep the output isomorph-free without a seen-set (McKay,
   scan is smallest, taken with its orbit under the child's
   automorphisms.
 
-Both filters read one `canon.refinement_scan` per graph: its generators
+Both filters read the graph's `canon.refinement_scan`: its generators
 generate the automorphism group, and its least-leaf relabeled edge list
 is an isomorphism invariant, so the chosen orbit does not depend on the
-labeling.  An accepted child's scan is reused as its own parent scan;
-a child whose added edge does not have the least key is rejected before
-its feasibility check and its scan, by a walk over the parent's edges
-ranked by key.  Feasibility (no forbidden realization) is downward
-closed, so the tree never needs to look above an infeasible graph.
+labeling.  A graph is scanned only when a choice reads the scan.  Every
+candidate first walks the parent's edges ranked by key and is dropped
+when its added edge would not have the least key; degrees and the key
+are invariants, so the survivors are a union of orbits, the least
+survivor of each orbit is its representative, and the parent is scanned
+for the split only when two or more candidates survive.  A child is
+scanned only when its added edge ties with another edge under the key,
+and that scan is reused as its own parent scan.  Feasibility (no
+forbidden realization) is checked on the representatives only; it is
+downward closed, so the tree never needs to look above an infeasible
+graph.
 Everything is deterministic; one graph per isomorphism class is yielded
 in the generated labeling.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .canon import Scan, refinement_scan
 from .core import Hypergraph
@@ -69,15 +75,17 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
     s = _Searcher(n, config)
     universe = s.edges
 
-    def visit(mask: int, edges: tuple, scan: Scan,
+    def visit(mask: int, edges: tuple, scan: Optional[Scan],
               deg: list) -> Iterator[Hypergraph]:
-        yield Hypergraph(n, s.r, edges)
-        candidates = [e for i, e in enumerate(universe) if not mask >> i & 1]
+        yield Hypergraph._unchecked(n, s.r, edges)  # sorted universe entries
         # the parent's (key, edge) pairs in increasing order; adding an
         # edge never lowers a key, so a child's walk stops at the first
         # parent key above the key of its added edge
         ranked = sorted([(sorted([deg[v] for v in e]), e) for e in edges])
-        for e in _orbit_representatives(candidates, scan.generators):
+        passed = {}  # candidate -> (its edges tied with it, child degrees)
+        for i, e in enumerate(universe):
+            if mask >> i & 1:
+                continue
             child_deg = list(deg)
             for v in e:
                 child_deg[v] += 1
@@ -92,19 +100,31 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
                     break
                 if key == key_added:
                     tied.append(f)
+            if tied is not None:
+                passed[e] = tied, child_deg
+        # the survivors are a union of orbits (the key is an invariant):
+        # a lone survivor is its own representative and needs no scan
+        reps = list(passed)
+        if len(reps) > 1:
+            if scan is None:
+                scan = refinement_scan(n, edges)
+            reps = _orbit_representatives(reps, scan.generators)
+        for e in reps:
             child_mask = mask | (1 << s.index[e])
-            if tied is None or not s.is_feasible(child_mask):
+            if not s.is_feasible(child_mask):
                 continue
+            tied, child_deg = passed[e]
             child_edges = tuple(sorted(edges + (e,)))
-            child_scan = refinement_scan(n, child_edges)
+            child_scan = None
             if len(tied) > 1:  # is e in the orbit of the least image?
+                child_scan = refinement_scan(n, child_edges)
                 perm = child_scan.perm
                 least = min(tied, key=lambda t: sorted(perm[v] for v in t))
                 if e not in _orbit(least, child_scan.generators):
                     continue
             yield from visit(child_mask, child_edges, child_scan, child_deg)
 
-    yield from visit(0, (), refinement_scan(n, ()), [0] * n)
+    yield from visit(0, (), None, [0] * n)
 
 
 def count_free(n: int, config: ForbiddenConfig) -> int:

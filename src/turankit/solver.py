@@ -243,8 +243,9 @@ class _Searcher:
         return mask
 
     def graph_of(self, mask: int) -> Hypergraph:
-        return Hypergraph(self.n, self.r,
-                          tuple(self.edges[e] for e in _bits(mask)))
+        # universe entries in increasing index order: sorted and valid
+        return Hypergraph._unchecked(
+            self.n, self.r, tuple(self.edges[e] for e in _bits(mask)))
 
     def _orbit_tables(self):
         """Tables for twin tests and edge orbits.

@@ -1,6 +1,7 @@
 """The phase-1 refinement scan: its generators generate the whole
 automorphism group, and its certificate is an isomorphism invariant.
-Phase 2 returns the same labeling as its pooled-bound reference, and
+Its refinement splits any ordered partition as the tuple-code reference
+does.  Phase 2 returns the same labeling as its pooled-bound reference, and
 fast on inputs that bound pruned poorly.  Neither phase leaves garbage
 for the cyclic collector."""
 
@@ -11,14 +12,15 @@ from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from turankit.canon import canonical_labeling, refinement_scan
+from turankit.canon import _refine, canonical_labeling, refinement_scan
 from turankit.core import (
     Hypergraph, canonical_form, complete, disjoint_union, empty, join,
 )
 
 from oracles import (
-    automorphism_count, cycle_graph, fano_graph, group_order,
-    reference_canonical_labeling, reference_refinement_scan, relabel,
+    _reference_refine, automorphism_count, cycle_graph, fano_graph,
+    group_order, reference_canonical_labeling, reference_refinement_scan,
+    relabel,
 )
 
 # graphs whose automorphisms are mostly twin swaps or every permutation
@@ -84,6 +86,38 @@ def test_scan_matches_reference_on_symmetric_graphs():
 def test_scan_matches_reference(g):
     # the same generators in the same order, the same least leaf
     assert refinement_scan(g.n, g.edges) == reference_refinement_scan(g.n, g.edges)
+
+
+@st.composite
+def ordered_partitions(draw):
+    """(n, edges, cells): an r-graph with r in 1..4 on n <= 10 vertices
+    and an arbitrary ordered partition of its vertices into sorted cells."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 10))
+    pool = list(combinations(range(n), r))
+    edges = sorted(draw(st.lists(st.sampled_from(pool), unique=True))) if pool else []
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return n, edges, [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=300)
+@given(ordered_partitions())
+# edges lying wholly in one cell: the whole vertex set as one cell, and
+# cells that are edges themselves, listed out of degree order
+@example((6, [(0, 1, 2), (0, 3, 4), (3, 4, 5)], [[0, 1, 2, 3, 4, 5]]))
+@example((7, [(0, 1, 2), (0, 1, 3), (4, 5, 6)], [[4, 5, 6], [3], [0, 1, 2]]))
+@example((9, [(0, 1, 2, 3), (4, 5, 6, 7), (0, 4, 5, 8)],
+          [[8], [4, 5, 6, 7], [0, 1, 2, 3]]))
+def test_refine_matches_tuple_code_reference(case):
+    # the weighted edge codes split and order cells exactly as sorted
+    # cell tuples do
+    n, edges, cells = case
+    incident = [[i for i, e in enumerate(edges) if v in e] for v in range(n)]
+    incident_edges = [[edges[i] for i in idx] for idx in incident]
+    assert (_refine(n, edges, incident, [list(c) for c in cells])
+            == _reference_refine(n, incident_edges, [list(c) for c in cells]))
 
 
 @settings(max_examples=100)

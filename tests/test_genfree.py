@@ -9,7 +9,10 @@ vertex-profile-keyed predecessor, class by class, and with a reference
 of the same sorted-degree edge key, graph by graph.
 """
 
+from dataclasses import FrozenInstanceError
 from itertools import combinations
+
+import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -176,9 +179,11 @@ def test_matches_scan_reference_exactly_on_dense_inputs():
 
 
 def test_pinned_scan_count(monkeypatch):
-    # one scan per accepted graph plus one per child that passes the
-    # sorted-degree key and fails the tie-break (416 with the finer
-    # vertex-profile key, which rejected more children before their scan)
+    # a graph is scanned only when a choice reads its scan: when two or
+    # more of its candidate edges pass the sorted-degree key (the orbit
+    # split), or when its own added edge ties with another edge under
+    # that key (the tie-break); 457 when every accepted graph and every
+    # child passing the key was scanned
     calls = []
     scan = genfree.refinement_scan
 
@@ -188,7 +193,19 @@ def test_pinned_scan_count(monkeypatch):
 
     monkeypatch.setattr(genfree, "refinement_scan", counted)
     assert count_free(8, config_of([(K3, 1)])) == TRIANGLE_FREE_COUNTS[8]
-    assert len(calls) == 457
+    assert len(calls) == 342
+
+
+def test_yielded_graphs_are_plain_values():
+    # graphs built without the constructor's checks equal, and hash like,
+    # checked ones and stay frozen
+    one_triple = Hypergraph(3, 3, ((0, 1, 2),))
+    for n, cfg in ((7, config_of([(K3, 1)])), (5, config_of([(one_triple, 2)]))):
+        for g in free_graphs(n, cfg):
+            checked = Hypergraph(g.n, g.r, g.edges)
+            assert g == checked and hash(g) == hash(checked)
+            with pytest.raises(FrozenInstanceError):
+                g.n = 0
 
 
 def test_output_is_isomorph_free_and_feasible():

@@ -288,6 +288,22 @@ def test_cache_recomputes_an_exact_record_listing_one_class_twice(cache):
     assert enumerate_extremal(6, cfg, cache_dir=cache) == rec
 
 
+def test_cache_recomputes_records_with_malformed_graphs(cache):
+    # stored graphs are outside data, rebuilt with the Hypergraph
+    # constructor's checks; each edge list below keeps the value's 9
+    # entries, and none holds a triangle on vertices 0..5
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    edges = [list(e) for e in rec.extremal[0].edges]
+    for bad in ([[0, 6]] + edges[1:],        # a vertex outside 0..5
+                [[2, 2]] + edges[1:],        # a repeated vertex
+                edges[:-1] + [edges[0]]):    # an edge listed twice
+        path = _tamper(cache, extremal=[bad])
+        assert solver._load(path, 6, cfg) is None
+    again = max_edges(6, cfg, cache_dir=cache)
+    assert again.value == 9 and again.extremal == rec.extremal
+
+
 def test_cache_recomputes_records_of_other_formats(cache):
     cfg = config_of([(K3_ISO, 2)])
     assert max_edges(6, cfg, cache_dir=cache).value == 15
