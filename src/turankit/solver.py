@@ -53,17 +53,22 @@ scans over the alive set, each chosen copy striking out its vertex
 conflicts (bit-parallel candidate sets, as in San Segundo,
 Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
 
-Value mode asks "is there a feasible graph with more than k edges?" and,
-when there is, finds the largest.  With a feasible seed it asks once, k
-the seed's count; without one, for k = C(n, r) − 1, C(n, r) − 2, … until
-the answer is yes, every no proving ex ≤ k.  Runs aimed too high stop on
-the packing bound at once, and a run from below finds its good leaves
-late (see `_solve`).
+Value mode is best-first branch and bound (Ibaraki, Int. J. Comput. Inf.
+Sci. 5, 1976): evaluated nodes wait in a heap, largest packing bound
+first, and the first feasible node popped is a largest feasible graph,
+since no open node can beat its count.  Nodes whose bound does not beat
+the floor, a feasible seed's count or else −1, are dropped.  Bound ties
+pop in depth-first order, so the witness is the depth-first least leaf
+of the value among the nodes whose bound reaches it, the leaf a
+depth-first search from any floor below the value returns; and best
+first expands only nodes such a search expands too.  Enumerate mode pops
+in depth-first order alone, so its heap holds about one node per level.
 
 Searches are deterministic: realizations are found lexicographically
 (families in normalized order, copies in sorted edge order, same-family
-copies strictly increasing), child A is explored before child B, and the
-node limit counts both; so values, witnesses, and node counts reproduce.
+copies strictly increasing), ties pop child A's subtree before child
+B's, and the node limit counts every node evaluated; so values,
+witnesses, and node counts reproduce.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
+from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -98,10 +104,19 @@ _MAX_EDGES = 1000
 
 
 def _node_limit(override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get("TURANKIT_NODE_LIMIT")
-    return int(env) if env else _DEFAULT_NODE_LIMIT
+    """The node budget: the argument, else TURANKIT_NODE_LIMIT, else the
+    default; a ValueError naming the source unless it is an integer >= 1."""
+    name, limit = "node_limit", override
+    if override is None:
+        name = "TURANKIT_NODE_LIMIT"
+        limit = os.environ.get(name)
+        if not limit:
+            return _DEFAULT_NODE_LIMIT
+        with suppress(ValueError):
+            limit = int(limit)
+    if type(limit) is not int or limit < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {limit!r}")
+    return limit
 
 
 def _cache_dir(override) -> str:
@@ -216,7 +231,9 @@ class _Searcher:
             for e in f.edges:
                 em |= 1 << at[sum([b[v] for v in e])]
             copies.append((em, sum(b)))
-        copies.sort(key=lambda c: (list(_bits(c[0])), c[1]))
+        # f's copies have equal edge counts, so ascending lists of edge
+        # bits are descending strings of edge bits from bit 0 up
+        copies.sort(key=lambda c: (bin(c[0])[:1:-1], -c[1]), reverse=True)
         return copies
 
     def alive_in(self, w: int) -> int:
@@ -224,14 +241,11 @@ class _Searcher:
         missing = self.used & ~w
         return self.all_copies & ~_union(self.kill, missing)
 
-    def find_realization(self, w: int, alive: Optional[int] = None
-                         ) -> Optional[int]:
+    def find_realization(self, w: int) -> Optional[int]:
         """Edge mask of the lexicographically least violating realization
-        inside edge set w, or None if w is feasible.  `alive`, when given,
-        must equal `alive_in(w)`; the search keeps it incrementally."""
-        if alive is None:
-            alive = self.alive_in(w)
-        return self.pack(alive)
+        inside edge set w, or None if w is feasible.  The search calls
+        `pack` on the alive sets it keeps incrementally."""
+        return self.pack(self.alive_in(w))
 
     def is_feasible(self, mask: int) -> bool:
         return self.find_realization(mask) is None
@@ -302,69 +316,81 @@ class _Searcher:
         return orb
 
     def run(self, floor: int, node_limit: int, enumerate_all: bool):
-        """Explore the orbital freezing tree below the root, pruning every
-        node that cannot beat `floor` edges.  Value mode raises the floor
-        at each feasible leaf and returns (floor, witness mask or None);
-        enumerate mode keeps it and returns the set of canonical forms of
+        """Explore the orbital freezing tree below the root in one loop
+        over a heap of evaluated nodes, dropping every node whose packing
+        bound does not beat `floor` edges.  Nodes pop by (−bound, path) in
+        value mode and by path alone in enumerate mode, where a node's path
+        is its string of children from the root (A = 0, B = 1), so that
+        bound ties, and the whole enumerate pass, pop in depth-first order.
+        Value mode returns (count, mask) of the first feasible node popped,
+        a largest feasible graph above the floor, or (floor, None) when
+        there is none; enumerate mode returns the set of canonical forms of
         the feasible leaves."""
         if self.orbit_tables is None:
             self.orbit_tables = self._orbit_tables()
         _, link_bits, _, shift, root = self.orbit_tables
+        kill, pack = self.kill, self.pack
         found: set = set()
-        best_mask = None
-
-        def search(g: int, frozen: int, cnt: int, alive: int, links):
-            nonlocal floor, best_mask
-            self.nodes += 1
-            if self.nodes > node_limit:
-                self.limit_hit = True
-                if cnt > self.skipped_upper:
-                    self.skipped_upper = cnt
-                return
-            if cnt <= floor:
-                return
-            w, a = g, alive  # g after the packing's deletions
-            first = None
-            p = 0
-            while True:
-                real = self.find_realization(w, a)
-                if real is None:
-                    break
-                nonfrozen = real & ~frozen
-                if nonfrozen == 0:
-                    return  # the realization survives every deletion below
-                if first is None:
-                    first = nonfrozen
-                p += 1
-                if cnt - p <= floor:
-                    return
-                w &= ~nonfrozen
-                a &= ~_union(self.kill, nonfrozen)
-            if first is None:
-                if enumerate_all:
-                    found.add(canonical_form(self.graph_of(g)).graph())
-                else:
-                    floor, best_mask = cnt, g
-                return
-            low = first & -first
-            e = low.bit_length() - 1
-            child = links[:]
+        heap = []  # (-bound or 0, path, g, frozen, count, alive, links, pick)
+        # the nodes to evaluate: (path, g, frozen, count, alive, links), the
+        # children of the node popped with `key`
+        todo = ((b"", self.full, 0, len(self.edges), self.alive_in(self.full),
+                 root),)
+        key = -len(self.edges)
+        while True:
+            for path, g, frozen, cnt, alive, links in todo:
+                self.nodes += 1
+                if self.nodes > node_limit:
+                    # in value mode every graph not ruled out lies below an
+                    # open node or the popped one: the largest bound bounds it
+                    self.limit_hit = True
+                    self.skipped_upper = -min(key, heap[0][0] if heap else key)
+                    return found if enumerate_all else (floor, None)
+                # the packing bound; a = the copies the deletions leave
+                bound, a, first = cnt, alive, 0
+                while bound > floor:
+                    real = pack(a)
+                    if real is None:
+                        break
+                    nonfrozen = real & ~frozen
+                    if not nonfrozen:
+                        bound = floor  # the realization survives below
+                        break
+                    first = first or nonfrozen
+                    bound -= 1
+                    while nonfrozen:
+                        low = nonfrozen & -nonfrozen
+                        a &= ~kill[low.bit_length() - 1]
+                        nonfrozen ^= low
+                if bound > floor:
+                    heappush(heap, (0 if enumerate_all else -bound, path, g,
+                                    frozen, cnt, alive, links, first & -first))
+            if not heap:
+                return found if enumerate_all else (floor, None)
+            # pick = the bit of the edge to branch on, 0 at a feasible node
+            key, path, g, frozen, cnt, alive, links, pick = heappop(heap)
+            if not pick:  # no open node has a larger bound
+                if not enumerate_all:
+                    return cnt, g
+                found.add(canonical_form(self.graph_of(g)).graph())
+                todo = ()
+                continue
+            # child A deletes e, child B freezes its orbit
+            e = pick.bit_length() - 1
+            child_a = links[:]
             for v, bit in link_bits[e]:
-                child[v] ^= bit
-            search(g & ~low, frozen, cnt - 1, alive & ~self.kill[e], child)
+                child_a[v] ^= bit
             orb = self.orbit(e, links)
-            child = links[:]
-            for x in _bits(orb):
-                for v, bit in link_bits[x]:
-                    child[v] |= bit << shift
-            search(g, frozen | orb, cnt, alive, child)
-
-        try:
-            search(self.full, 0, len(self.edges), self.alive_in(self.full),
-                   root)
-        finally:
-            del search  # it refers to itself: break the cycle
-        return found if enumerate_all else (floor, best_mask)
+            child_b = links[:]
+            x = orb
+            while x:
+                y = x & -x
+                for v, bit in link_bits[y.bit_length() - 1]:
+                    child_b[v] |= bit << shift
+                x ^= y
+            todo = ((path + b"\0", g & ~pick, frozen, cnt - 1,
+                     alive & ~kill[e], child_a),
+                    (path + b"\1", g, frozen | orb, cnt, alive, child_b))
 
 
 def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
@@ -383,23 +409,14 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
             seeded = seed.edge_count
             seed_mask = m
 
-    # The value pass (module docstring).  A run from below finds good
-    # graphs late: Fano at n = 10 takes 49 305 nodes from k = -1, 315
-    # from k = 99, and 759 for the whole descent from k = 119.
-    best = seeded if seed_mask is not None else -1
-    value, witness = best, seed_mask
-    upper = len(s.edges)
-    for k in range(best if seed_mask is not None else upper - 1, best - 1, -1):
-        found, mask = s.run(k, limit, False)
-        if mask is not None:
-            value, witness = found, mask
-        if s.limit_hit:
-            upper = min(upper, max(value, s.skipped_upper))
-            break
-        if mask is not None:
-            upper = value
-            break
-        upper = k
+    # The value pass (module docstring).  Fano at n = 10 takes 315 nodes;
+    # depth first it took 49 305 from below, and 759 in runs for more than
+    # 119, 118, ... edges.
+    value, witness = s.run(seeded if seed_mask is not None else -1, limit,
+                           False)
+    if witness is None:
+        witness = seed_mask
+    upper = max(value, s.skipped_upper) if s.limit_hit else value
     value = max(value, 0)  # the empty graph is feasible even if never reached
     status = "bounds" if s.limit_hit else "exact"
     extremal = ()
@@ -504,6 +521,7 @@ def _cached_solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
                   node_limit: Optional[int]) -> TuranRecord:
     """The cached record when it answers the question, else a solve,
     stored when exact."""
+    node_limit = _node_limit(node_limit)  # refused even on a cache hit
     path = _cache_path(n, config, cache_dir)
     cached = _load(path, n, config)
     if cached is not None and (cached.extremal_complete or not enumerate_all):

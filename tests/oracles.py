@@ -372,11 +372,11 @@ def reference_run(searcher, best: int, node_limit: int, enumerate_all: bool):
                 return
         elif cnt <= best_box[0]:
             return
-        w, a = g, alive  # g after the packing's deletions
+        a = alive  # the copies the packing's deletions leave
         first = None
         p = 0
         while True:
-            real = s.find_realization(w, a)
+            real = s.pack(a)
             if real is None:
                 break
             nonfrozen = real & ~frozen
@@ -390,7 +390,6 @@ def reference_run(searcher, best: int, node_limit: int, enumerate_all: bool):
                     return
             elif cnt - p <= best_box[0]:
                 return
-            w &= ~nonfrozen
             a &= ~_union(s.kill, nonfrozen)
         if first is None:
             if enumerate_all:
@@ -436,6 +435,119 @@ def reference_solve(n: int, config, enumerate_all: bool,
         extremal = tuple(sorted(forms, key=lambda g: g.edges))
     return TuranRecord(n, config.r, config.hash_hex(), status, value, upper,
                        extremal, complete, nodes, 0, 0)
+
+
+# -- the orbital search before best-first order --------------------------
+
+
+def reference_orbital_run(searcher, floor: int, node_limit: int,
+                          enumerate_all: bool):
+    """`solver._Searcher.run` before best-first order: the orbital freezing
+    tree searched depth first by recursion, child A before child B, value
+    mode raising the floor at each feasible leaf.  It shares the
+    searcher's tables, kernel and orbits, its node counter and its bracket
+    fields, and returns what `run` returns."""
+    s = searcher
+    if s.orbit_tables is None:
+        s.orbit_tables = s._orbit_tables()
+    _, link_bits, _, shift, root = s.orbit_tables
+    found: set = set()
+    best = [floor, None]  # the floor and its witness mask
+
+    def search(again, g: int, frozen: int, cnt: int, alive: int, links):
+        s.nodes += 1
+        if s.nodes > node_limit:
+            s.limit_hit = True
+            if cnt > s.skipped_upper:
+                s.skipped_upper = cnt
+            return
+        if cnt <= best[0]:
+            return
+        a = alive  # the copies the packing's deletions leave
+        first = None
+        p = 0
+        while True:
+            real = s.pack(a)
+            if real is None:
+                break
+            nonfrozen = real & ~frozen
+            if nonfrozen == 0:
+                return  # the realization survives every deletion below
+            if first is None:
+                first = nonfrozen
+            p += 1
+            if cnt - p <= best[0]:
+                return
+            a &= ~_union(s.kill, nonfrozen)
+        if first is None:
+            if enumerate_all:
+                found.add(canonical_form(s.graph_of(g)).graph())
+            else:
+                best[:] = cnt, g
+            return
+        low = first & -first
+        e = low.bit_length() - 1
+        child = links[:]
+        for v, bit in link_bits[e]:
+            child[v] ^= bit
+        again(again, g & ~low, frozen, cnt - 1, alive & ~s.kill[e], child)
+        orb = s.orbit(e, links)
+        child = links[:]
+        x = orb
+        while x:
+            bit_x = x & -x
+            for v, bit in link_bits[bit_x.bit_length() - 1]:
+                child[v] |= bit << shift
+            x ^= bit_x
+        again(again, g, frozen | orb, cnt, alive, child)
+
+    search(search, s.full, 0, len(s.edges), s.alive_in(s.full), root)
+    return found if enumerate_all else tuple(best)
+
+
+def reference_descent(n: int, config, seed: Optional[Hypergraph],
+                      enumerate_all: bool,
+                      node_limit: int = 10_000_000) -> TuranRecord:
+    """`solver._solve` before best-first order.  The value pass asks for
+    more than k edges: once, k the count of a feasible seed, or else for
+    k = C(n, r) − 1, C(n, r) − 2, … until the answer is yes, each run of
+    `reference_orbital_run` from the root.  Then, when asked and exact,
+    the enumerate pass at the value with a node budget of its own."""
+    s = _Searcher(n, config)
+    seeded, seed_mask = 0, None
+    if seed is not None:
+        m = s.mask_of(seed)
+        if s.is_feasible(m):
+            seeded, seed_mask = seed.edge_count, m
+    best = seeded if seed_mask is not None else -1
+    value, witness = best, seed_mask
+    upper = len(s.edges)
+    for k in range(best if seed_mask is not None else upper - 1, best - 1, -1):
+        found, mask = reference_orbital_run(s, k, node_limit, False)
+        if mask is not None:
+            value, witness = found, mask
+        if s.limit_hit:
+            upper = min(upper, max(value, s.skipped_upper))
+            break
+        if mask is not None:
+            upper = value
+            break
+        upper = k
+    value = max(value, 0)  # the empty graph is feasible even if never reached
+    status = "bounds" if s.limit_hit else "exact"
+    extremal = ()
+    if witness is not None:
+        extremal = (canonical_form(s.graph_of(witness)).graph(),)
+    nodes, complete = s.nodes, False
+    if enumerate_all and status == "exact":
+        s.nodes = 0
+        forms = reference_orbital_run(s, value - 1, node_limit, True)
+        nodes += s.nodes
+        complete = not s.limit_hit
+        status = "exact" if complete else "bounds"
+        extremal = tuple(sorted(forms, key=lambda g: g.edges))
+    return TuranRecord(n, config.r, config.hash_hex(), status, value, upper,
+                       extremal, complete, nodes, 0, seeded)
 
 
 # -- the packing searches before the bit-parallel kernel -----------------

@@ -243,6 +243,18 @@ def test_node_limit_gives_bounds_exit(files, capsys, monkeypatch, tmp_path):
     assert err.startswith("budget exceeded:")
 
 
+@pytest.mark.parametrize("bad", ["-2", "0", "abc"])
+def test_bad_node_limit_is_a_usage_error(files, capsys, monkeypatch, tmp_path,
+                                         bad):
+    # a budget below one node used to print a bracket around 0 and 15
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
+    monkeypatch.setenv("TURANKIT_NODE_LIMIT", bad)
+    code, text, err = invoke(["ex", "--n", "6", "--family",
+                              files["k3.hg"] + ":1", "--json"], capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("error: TURANKIT_NODE_LIMIT must be an integer")
+
+
 def test_relabeled_families_merge(capsys, tmp_path):
     # two labelings of the path on three vertices are one family
     a, b = str(tmp_path / "p3a.hg"), str(tmp_path / "p3b.hg")

@@ -2,6 +2,7 @@
 small Turán numbers, extremal enumeration, seeding, caching, bounds."""
 
 import gc
+import inspect
 import json
 import os
 import sys
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
-    brute_has_config, brute_max_feasible, reference_find_realization,
-    reference_solve, relabel, turan_graph,
+    brute_has_config, brute_max_feasible, reference_descent,
+    reference_find_realization, reference_solve, relabel, turan_graph,
 )
 from turankit.core import Hypergraph, are_isomorphic, complete, empty, join
 from turankit.errors import BudgetExceededError
@@ -483,6 +484,25 @@ def test_node_limit_env_var(cache, monkeypatch):
     assert rec.status == "bounds"
 
 
+@pytest.mark.parametrize("bad", [0, -2, 1.5, True, "7"])
+def test_node_limit_argument_must_be_a_positive_integer(cache, bad):
+    with pytest.raises(ValueError, match="node_limit"):
+        max_edges(6, config_of([(K3, 1)]), node_limit=bad, cache_dir=cache)
+    assert not os.path.exists(cache)
+
+
+@pytest.mark.parametrize("bad", ["-2", "0", "abc", "1.5"])
+def test_node_limit_env_var_must_be_a_positive_integer(cache, monkeypatch,
+                                                       bad):
+    cfg = config_of([(K3, 1)])
+    max_edges(6, cfg, cache_dir=cache)
+    monkeypatch.setenv("TURANKIT_NODE_LIMIT", bad)
+    # refused on a cache hit as on a miss
+    for n in (6, 7):
+        with pytest.raises(ValueError, match="TURANKIT_NODE_LIMIT"):
+            max_edges(n, cfg, cache_dir=cache)
+
+
 def test_table_delta_and_degree(cache):
     tab = ex_table(config_of([(K3, 1)]), 3, 8, cache_dir=cache)
     assert [tab.value(n) for n in tab.ns] == [2, 4, 6, 9, 12, 16]
@@ -556,25 +576,36 @@ def test_pinned_enumeration_node_count():
 
 
 # The same instances under orbital branching, which counts both children
-# of every branch, summed over the value pass's descending runs.
+# of every branch: summed over the descending runs of the value pass
+# before best-first order (its reference), and in the one best-first run.
+ORBITAL_INSTANCES = [
+    (9, ((K3, 2),), 24), (9, ((K4, 1),), 27), (8, ((fano(), 1),), 48),
+    (10, ((K3, 1),), 25), (9, ((EDGE2, 3),), 15), (8, ((K3, 1), (K4, 1)), 22),
+    (9, ((K3, 1), (K3_ISO, 1)), 24), (11, ((K3, 1),), 30),
+    (9, ((fano(), 1),), 70),
+]
+
+
 @pytest.mark.parametrize("n, families, value, nodes", [
-    (9, ((K3, 2),), 24, 561),
-    (9, ((K4, 1),), 27, 268),
-    (8, ((fano(), 1),), 48, 43),
-    (10, ((K3, 1),), 25, 585),
-    (9, ((EDGE2, 3),), 15, 944),
-    (8, ((K3, 1), (K4, 1)), 22, 149),
-    (9, ((K3, 1), (K3_ISO, 1)), 24, 561),
-    (11, ((K3, 1),), 30, 1220),
-    (9, ((fano(), 1),), 70, 313),
+    case + (nodes,) for case, nodes in zip(
+        ORBITAL_INSTANCES, (561, 268, 43, 585, 944, 149, 561, 1220, 313))
 ])
 def test_orbital_node_counts(n, families, value, nodes):
+    rec = reference_descent(n, config_of(families), None, False)
+    assert (rec.status, rec.value, rec.nodes) == ("exact", value, nodes)
+
+
+@pytest.mark.parametrize("n, families, value, nodes", [
+    case + (nodes,) for case, nodes in zip(
+        ORBITAL_INSTANCES, (241, 121, 35, 207, 235, 61, 241, 427, 135))
+])
+def test_best_first_node_counts(n, families, value, nodes):
     rec = _solve(n, config_of(families), None, False, None)
     assert (rec.status, rec.value, rec.nodes) == ("exact", value, nodes)
 
 
-# With a seed the value pass is one run above the seed's count; with an
-# extremal seed it only proves that nothing beats it.
+# With a seed the value pass drops the nodes that cannot beat the seed's
+# count; with an extremal seed it only proves that nothing beats it.
 @pytest.mark.parametrize("n, families, seed, value, nodes", [
     (9, ((K3, 1),), turan(9, 2, 2), 20, 93),
     (9, ((K3, 2),), join(1, turan(8, 2, 2)), 24, 163),
@@ -586,9 +617,22 @@ def test_seeded_node_counts(n, families, seed, value, nodes):
 
 def test_orbital_enumeration_node_count():
     rec = _solve(9, config_of([(K3, 2)]), None, True, None)
-    assert rec.nodes == 858  # both passes
+    assert rec.nodes == 538  # both passes
+    value = _solve(9, config_of([(K3, 2)]), None, False, None)
+    assert rec.nodes - value.nodes == 297  # the enumerate pass alone
     assert len(rec.extremal) == 1
     assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
+
+
+@pytest.mark.parametrize("n, f", [
+    (10, fano()), (7, K3_ISO), (8, K4),
+    (6, Hypergraph(5, 3, ((0, 1, 2), (0, 3, 4)))),
+])
+def test_copy_tables_are_in_edge_bit_order(n, f):
+    # the tables sort by bit-reversed edge masks, which for copies of equal
+    # edge counts is the order of their lists of edge bits
+    copies = _Searcher(n, config_of([(f, 1)])).fams[0][0]
+    assert copies == sorted(copies, key=lambda c: (list(_bits(c[0])), c[1]))
 
 
 def test_enumeration_builds_the_copy_tables_once(cache, monkeypatch):
@@ -638,14 +682,21 @@ def test_kernel_matches_reference_walk(case):
     for w in ws:
         assert s.find_realization(w) == reference_find_realization(s, w)
     # a short search: the alive sets it carries down the tree and through
-    # the packing loop are the ones built from scratch
-    kernel = s.find_realization
+    # the packing loop are the ones built from scratch, for the node's g
+    # minus the non-frozen edges of the realizations packed so far
+    kernel, deleted = s.pack, [0]
 
-    def checked(w, alive=None):
-        assert alive == s.alive_in(w)
-        return kernel(w, alive)
+    def checked(alive):
+        node = sys._getframe(1).f_locals
+        if node["bound"] == node["cnt"]:  # the node's first packing step
+            deleted[0] = 0
+        assert alive == s.alive_in(node["g"] & ~deleted[0])
+        real = kernel(alive)
+        if real is not None:
+            deleted[0] |= real & ~node["frozen"]
+        return real
 
-    s.find_realization = checked
+    s.pack = checked
     s.run(-1, 80, False)
 
 
@@ -700,6 +751,48 @@ def test_orbital_search_matches_reference(case):
     assert want.value <= value.value <= want.upper
     if want.extremal_complete:
         assert classes.extremal == want.extremal
+
+
+def table_seed(n, cfg, rnd):
+    """The seed `ex_table` hands n: an extremal graph on n - 1 vertices
+    plus an isolated vertex, thinned at random unless rnd is None."""
+    prev = _solve(n - 1, cfg, None, False, None).extremal[0]
+    return Hypergraph(n, cfg.r, tuple(e for e in prev.edges
+                                      if rnd is None or rnd.random() < 0.7))
+
+
+@settings(max_examples=60)
+@given(small_configs(), st.sampled_from(["none", "table", "thinned"]),
+       st.randoms(use_true_random=False))
+@example((9, config_of([(K3, 2)])), "none", Random(0))
+@example((8, config_of([(fano(), 1)])), "table", Random(0))
+def test_best_first_matches_the_descent(case, seeding, rnd):
+    # against the value pass's old runs, depth first for more than k
+    # edges, k descending or the seed's count: the same record in no more
+    # nodes, and the same enumerate pass
+    n, cfg = case
+    seed = None
+    if seeding != "none":
+        seed = table_seed(n, cfg, rnd if seeding == "thinned" else None)
+
+    def key(rec):
+        return (rec.status, rec.value, rec.upper, rec.extremal[0].edges,
+                rec.seeded_lower)
+
+    got = _solve(n, cfg, seed, False, None)
+    want = reference_descent(n, cfg, seed, False)
+    assert key(got) == key(want) and got.status == "exact"
+    assert got.nodes <= want.nodes
+    # a node limit below the run's count stops it with a valid bracket
+    for limit in {1, got.nodes // 2, got.nodes - 1} & set(range(1, got.nodes)):
+        rec = _solve(n, cfg, seed, False, limit)
+        assert rec.status == "bounds" and rec.nodes == limit + 1
+        assert 0 <= rec.value <= got.value <= rec.upper
+    classes = _solve(n, cfg, seed, True, None)
+    want_classes = reference_descent(n, cfg, seed, True)
+    assert classes.extremal == want_classes.extremal
+    assert key(classes) == key(want_classes)
+    assert classes.nodes - got.nodes == want_classes.nodes - want.nodes
 
 
 def links_of(s, g, frozen):
@@ -762,10 +855,10 @@ def test_orbit_is_the_twin_group_orbit(r, n, rnd):
 
 
 @pytest.mark.parametrize("n, families, seed, exact", [
-    (7, ((K3, 1),), None, 12),
+    (8, ((K3, 1),), None, 16),
     (8, ((K3, 2),), None, 19),
-    (7, ((K3, 1), (K3_ISO, 1)), None, 15),
-    (7, ((K3, 1),), join(1, empty(6, 2)), 12),  # one run above a star
+    (8, ((K3, 1), (K3_ISO, 1)), None, 19),
+    (8, ((K3, 1),), join(1, empty(7, 2)), 16),  # floor at a star's count
 ])
 def test_node_limits_give_brackets(n, families, seed, exact):
     cfg = config_of(families)
@@ -810,7 +903,7 @@ def test_orbit_tables_are_built_only_by_searches(cache, monkeypatch):
 
 
 def test_searches_leave_no_cyclic_garbage():
-    # the recursive searches hold no reference cycles, so what they build
+    # the searches hold no reference cycles, so what they build
     # is freed as soon as they return, without the cyclic collector
     from turankit.matching import matching_number
 
@@ -849,12 +942,18 @@ def test_carried_links_are_the_links_of_each_node(n, families, monkeypatch):
             searchers.append(self)
 
     def tracer(frame, event, arg):
-        if event == "call" and frame.f_code is code:
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == evaluated:
             loc = frame.f_locals
             nodes.append((loc["g"], loc["frozen"], list(loc["links"])))
+        return tracer
 
-    code = next(c for c in _Searcher.run.__code__.co_consts
-                if getattr(c, "co_name", None) == "search")
+    # the loop counts each node as it evaluates it
+    code = _Searcher.run.__code__
+    lines, start = inspect.getsourcelines(_Searcher.run)
+    evaluated = start + next(i for i, line in enumerate(lines)
+                             if "self.nodes += 1" in line)
     monkeypatch.setattr(solver, "_Searcher", Recorded)
     previous = sys.gettrace()
     sys.settrace(tracer)
