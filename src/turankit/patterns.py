@@ -21,7 +21,9 @@ re-evaluated exactly before anything is reported.
 sizes.  What the parts still open can add is bounded by exact maxima of
 smaller patterns: the profiles restricted to the open parts, one pattern
 per restricted size.  Their rows lambda_0..lambda_n come from the same
-search, recursively.  One process-wide memo keeps each pattern's row,
+search, recursively.  Counts only grow with a part's size and rows with
+their total, so one comparison bounds a whole run of one part's sizes.
+One process-wide memo keeps each pattern's row,
 every entry with its lexicographically largest maximizer, and extends a
 row when a longer one is asked for; `lambda_n` reads its answer off the
 pattern's own row, so a pattern asked for directly and the same pattern
@@ -169,11 +171,18 @@ class _BlowupSearch:
     d.  Each Z_{i,d} has fewer parts, so its row lambda_0..lambda_n comes
     from this search recursively, through the process-wide memo that
     every user shares.  The caps below only loosen as n grows, so a
-    search for a larger n gives the same answer at every total."""
+    search for a larger n gives the same answer at every total.
+
+    The node at part i - 1 evaluates that bound for its children, a run
+    of sizes at a time (see `walk`), and cuts a run only when no child in
+    it can beat the incumbent; sizes are still walked largest first, so
+    the answers are those of a walk that bounds each size alone."""
 
     def __init__(self, k: int, multisets, n: int):
         self.k, self.n = k, n
         self.sizes = [0] * k
+        # bounds evaluated by `walk`, one per run of sizes
+        self.tried = 0
         self.mults = [tuple(y.count(part) for part in range(1, k + 1))
                       for y in multisets]
 
@@ -244,42 +253,69 @@ class _BlowupSearch:
         """The maximum count over compositions of `total` and its
         lexicographically largest maximizer; `floor` must lie below the
         maximum, and only counts above it are kept."""
+        if self.k == 1:
+            return sum(comb(total, m) for m in self.last), (total,)
         self.value, self.comp = floor, ()
         self.walk(0, total, [1] * self.width)
         return self.value, self.comp
 
     def walk(self, i: int, remaining: int, weights: list[int]) -> None:
+        """Try the sizes of part i, given the weights W of the parts
+        before it, from the largest down.  A run of sizes a..b is bounded
+        at once: its children's weights are at most the weights at b, and
+        what they leave is at most remaining - a, where the rows (or the
+        last part's binomials) are largest.  A run whose bound does not
+        beat the incumbent is cut and the next run is twice as long; a run
+        that does is halved, down to one size, which is walked.  The
+        caller has checked the entry bound, so a walk never prunes at
+        entry."""
         sizes = self.sizes
-        if i == self.k - 1:
-            sizes[i] = remaining
-            value = sum(w * comb(remaining, m)
-                        for w, m in zip(weights, self.last))
-            if value > self.value:
-                self.value = value
-                self.comp = tuple(sizes)
-            return
-        if i:
-            bound = 0
-            for row, lo, hi in self.bounds[i]:
-                bound += row[remaining] * max(weights[lo:hi])
-            if bound <= self.value:
-                return
         mults, targets, width = self.steps[i]
         partner = self.partner[i]
         top = remaining if partner is None else min(remaining, sizes[partner])
         # the most vertices parts i+1.. can take under the caps is
-        # fixed + through * sizes[i]: it only shrinks as sizes[i] does
+        # fixed + through * sizes[i], so sizes below `low` leave them more
+        # than they hold (and would leave the last part over its cap)
         free, per = self.later[i]
         fixed = free * self.n + sum(c * z for c, z in zip(per, sizes[:i]))
         through = per[i]
-        for s in range(top, -1, -1):
-            sizes[i] = s
-            if fixed + through * s < remaining - s:  # also keeps the last part capped
-                break
+        low = max(0, -((fixed - remaining) // (through + 1)))
+        leaf = i + 2 == self.k
+        last, bounds = self.last, self.bounds[i + 1]
+        tried = 0
+        s, length = top, 1
+        while s >= low:
             nxt = [0] * width
             for w, m, t in zip(weights, mults, targets):
                 nxt[t] += w * comb(s, m)
-            self.walk(i + 1, remaining - s, nxt)
+            while True:
+                tried += 1
+                a = max(low, s - length + 1)
+                rest = remaining - a
+                if leaf:
+                    bound = sum(w * comb(rest, m) for w, m in zip(nxt, last))
+                else:
+                    bound = 0
+                    for row, lo, hi in bounds:
+                        bound += row[rest] * max(nxt[lo:hi])
+                if bound <= self.value:
+                    s = a - 1
+                    length *= 2
+                    break
+                if a < s:
+                    length = (s - a + 1) // 2
+                    continue
+                # one size, and its bound is its exact count at a leaf
+                sizes[i] = s
+                if leaf:
+                    sizes[i + 1] = rest
+                    self.value = bound
+                    self.comp = tuple(sizes)
+                else:
+                    self.walk(i + 1, rest, nxt)
+                s -= 1
+                break
+        self.tried += tried
 
 
 def _row(k: int, multisets, n: int) -> tuple[list[int], list[Composition]]:
@@ -592,8 +628,9 @@ def loads_pat(text: str) -> Pattern:
         multisets = tuple(tuple(y) for y in data["multisets"])
     except (KeyError, TypeError):
         raise FormatError("pattern JSON needs k, r, multisets") from None
-    if not (isinstance(k, int) and isinstance(r, int)
-            and all(isinstance(v, int) for y in multisets for v in y)):
+    # JSON true and false load as bools, which Python counts as ints
+    values = [k, r] + [v for y in multisets for v in y]
+    if any(type(v) is not int for v in values):
         raise FormatError("pattern fields must be integers")
     try:
         return Pattern(k, r, multisets)

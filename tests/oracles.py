@@ -10,7 +10,8 @@ generation references share the package's feasibility check and orbit
 helpers, and keep their own vertex-profile invariant; the scan reference
 shares only the orbit oracle; the lex-min labeling reference shares the
 phase-1 scan and the orbit oracle; the freezing-search reference shares
-the solver's copy tables and realization kernel.  Budgets: n <= 7 for
+the solver's copy tables and realization kernel; the per-size blowup
+walk shares the blowup search's tables and memo.  Budgets: n <= 7 for
 relabeling scans, small edge counts for packing enumeration.
 """
 
@@ -28,6 +29,7 @@ from turankit.matching import (
     MatchingWitness, WitnessEntry, _copies, _edge_checks, _normalize_families,
     _pattern_order, _union,
 )
+from turankit.patterns import _BlowupSearch
 from turankit.solver import ForbiddenConfig, TuranRecord, _Searcher
 
 
@@ -1131,3 +1133,52 @@ def reference_lambda_n(p, n: int) -> tuple:
 
     walk(0, n, [1] * len(mults))
     return best[0], best[1]
+
+
+def reference_size_walk(search, i: int, remaining: int, weights) -> None:
+    """`patterns._BlowupSearch.walk` before run bounds: each size of part i
+    is tried on its own, and each child checks its own entry bound.  It
+    shares the search's tables (caps, restrictions, sub-pattern rows) and
+    counts in `search.tried` the sizes it builds a child for.  As the
+    `walk` of `ReferenceSizeSearch` it stands in for the search inside
+    `patterns._row`, so whole memo rows can be compared."""
+    sizes = search.sizes
+    if i == search.k - 1:
+        sizes[i] = remaining
+        value = sum(w * comb(remaining, m)
+                    for w, m in zip(weights, search.last))
+        if value > search.value:
+            search.value = value
+            search.comp = tuple(sizes)
+        return
+    if i:
+        bound = 0
+        for row, lo, hi in search.bounds[i]:
+            bound += row[remaining] * max(weights[lo:hi])
+        if bound <= search.value:
+            return
+    mults, targets, width = search.steps[i]
+    partner = search.partner[i]
+    top = remaining if partner is None else min(remaining, sizes[partner])
+    free, per = search.later[i]
+    fixed = free * search.n + sum(c * z for c, z in zip(per, sizes[:i]))
+    through = per[i]
+    for s in range(top, -1, -1):
+        sizes[i] = s
+        if fixed + through * s < remaining - s:  # also keeps the last part capped
+            break
+        search.tried += 1
+        nxt = [0] * width
+        for w, m, t in zip(weights, mults, targets):
+            nxt[t] += w * comb(s, m)
+        search.walk(i + 1, remaining - s, nxt)
+
+
+class ReferenceSizeSearch(_BlowupSearch):
+    walk = reference_size_walk
+
+    def best(self, total: int, floor: int):
+        # a one-part pattern is walked too, its only part being the last
+        self.value, self.comp = floor, ()
+        self.walk(0, total, [1] * self.width)
+        return self.value, self.comp

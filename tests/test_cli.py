@@ -173,6 +173,16 @@ def test_lambda_n_command(files, capsys):
     assert code == 0 and doc["value"] == 12 and doc["parts"] == [4, 3]
 
 
+def test_lambda_n_refuses_boolean_fields(capsys, tmp_path):
+    # JSON true reads as 1 in Python; the .pat format wants integers
+    for name, text in (("k.pat", '{"k": true, "r": 2, "multisets": [[1, 1]]}'),
+                       ("y.pat", '{"k": 2, "r": 2, "multisets": [[true, 2]]}')):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = invoke(["lambda-n", str(path), "--n", "4"], capsys)
+        assert code == 2 and out == "" and "must be integers" in err
+
+
 def test_lagrangian_command(files, capsys):
     code, text, _ = invoke(
         ["lagrangian", files["mantel.pat"], "--json"], capsys)

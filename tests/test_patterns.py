@@ -4,7 +4,8 @@ Brute-force oracles used here: direct profile filtering for blowup edge
 sets, exhaustive composition enumeration for the finite maxima, and
 closed-form densities at known optima.  `lambda_n` is also checked
 against its pre-symmetry-breaking walk kept in `oracles`, which prunes
-with per-profile suffix maxima instead of exact sub-pattern rows.
+with per-profile suffix maxima instead of exact sub-pattern rows, and
+against the per-size walk that preceded run bounds, row for row.
 """
 
 import gc
@@ -17,7 +18,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import reference_lambda_n
+from oracles import ReferenceSizeSearch, reference_lambda_n
 
 from turankit.core import Hypergraph, complete, empty
 from turankit.errors import BudgetExceededError, FormatError
@@ -149,6 +150,44 @@ def test_lambda_pins_at_n_120():
                                 (2, 3), (2, 4), (2, 5), (4, 5), (4, 6)))
     assert lambda_n(asymmetric, 120) == (5400, (30, 30, 0, 30, 30, 0))
     assert turan(120, 4, 2).edge_count == 5400
+
+
+def test_lambda_pendant_path_pin():
+    # K4 on parts 1..4 and the path 4-5-6: the path's sub-patterns are
+    # bipartite, with wide plateaus of maximizers that the run bounds
+    # still cut slowly (n = 120 takes seconds); the pendant parts stay
+    # empty and the count is the Turan number t(60, 4)
+    p = Pattern(6, 2, tuple(combinations(range(1, 5), 2)) + ((4, 5), (5, 6)))
+    assert lambda_n(p, 60) == (1350, (15, 15, 15, 15, 0, 0))
+    assert turan(60, 4, 2).edge_count == 1350
+
+
+def searches_made(monkeypatch, search):
+    """Make `_row` build its searches as `search`, and list each one."""
+    made = []
+
+    class Listed(search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(patterns, "_BlowupSearch", Listed)
+    return made
+
+
+def test_run_bound_sizes_tried(monkeypatch):
+    # bounds evaluated from a cold memo, over every row the call builds;
+    # trying each size on its own, as the reference walk does, costs more
+    run_search = patterns._BlowupSearch
+    for p, n, runs, sizes in ((kl_pattern(6), 120, 19575, 27617),
+                              (S3, 200, 9858, 20301)):
+        for search, want in ((run_search, runs),
+                             (ReferenceSizeSearch, sizes)):
+            made = searches_made(monkeypatch, search)
+            patterns._ROWS.clear()
+            lambda_n(p, n)
+            assert sum(s.tried for s in made) == want
+    patterns._ROWS.clear()
 
 
 def test_lambda_unbalanced_optimum():
@@ -402,6 +441,12 @@ def test_pat_format_errors():
         loads_pat('{"k": 2, "r": 3, "multisets": [[1,2]]}')
     with pytest.raises(FormatError):
         loads_pat('{"k": 2.5, "r": 3, "multisets": []}')
+    # JSON booleans are not integers, wherever they stand
+    for text in ('{"k": true, "r": 2, "multisets": [[1, 1]]}',
+                 '{"k": 2, "r": false, "multisets": []}',
+                 '{"k": 2, "r": 2, "multisets": [[true, 2]]}'):
+        with pytest.raises(FormatError, match="must be integers"):
+            loads_pat(text)
 
 
 @st.composite
@@ -441,6 +486,38 @@ def test_lambda_brute_property(p, n):
 @given(small_patterns(min_k=3, max_k=5), st.integers(min_value=9, max_value=24))
 def test_lambda_matches_reference_walk_property(p, n):
     assert lambda_n(p, n) == reference_lambda_n(p, n)
+
+
+def memo_rows(queries, search):
+    """Each query's answer, asked in order from a cold memo with `_row`
+    building its searches as `search`, and the rows the memo then holds."""
+    saved = patterns._BlowupSearch
+    patterns._BlowupSearch = search
+    patterns._ROWS.clear()
+    try:
+        answers = [lambda_n(p, n) for p, n in queries]
+        return answers, {key: (list(values), list(comps))
+                         for key, (values, comps) in patterns._ROWS.items()}
+    finally:
+        patterns._BlowupSearch = saved
+        patterns._ROWS.clear()
+
+
+# one part; all parts swappable, so each is capped by the one before;
+# two swappable pairs, parts 1, 4 and parts 2, 3; a row extended twice
+@example([(Pattern(1, 3, ((1, 1, 1),)), 40)])
+@example([(kl_pattern(5), 40)])
+@example([(all_profiles(4, 3, (1, 1, 1), (4, 4, 4)), 30)])
+@example([(Pattern(4, 2, ((1, 2), (1, 3), (2, 3), (4, 4))), 12),
+          (Pattern(4, 2, ((1, 2), (1, 3), (2, 3), (4, 4))), 40)])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(small_patterns(max_k=5),
+                          st.integers(min_value=0, max_value=40)),
+                min_size=1, max_size=3))
+def test_run_bound_matches_the_size_walk(queries):
+    # same values and maximizers, and the same entry in every memo row
+    assert memo_rows(queries, patterns._BlowupSearch) == \
+        memo_rows(queries, ReferenceSizeSearch)
 
 
 @st.composite
