@@ -36,7 +36,8 @@ def _normalize_edge(edge: Iterable[int], n: int, r: int) -> Edge:
     if len(e) != r:
         raise ValueError(f"edge {e} has {len(e)} vertices, expected {r}")
     for i, v in enumerate(e):
-        if not isinstance(v, int) or v < 0 or v >= n:
+        # not isinstance: Python counts True and False as ints
+        if type(v) is not int or v < 0 or v >= n:
             raise ValueError(f"edge {e} uses vertex {v} outside 0..{n - 1}")
         if i > 0 and e[i - 1] == v:
             raise ValueError(f"edge {e} repeats vertex {v}")

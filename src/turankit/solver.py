@@ -53,16 +53,20 @@ scans over the alive set, each chosen copy striking out its vertex
 conflicts (bit-parallel candidate sets, as in San Segundo,
 Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
 
-Value mode is best-first branch and bound (Ibaraki, Int. J. Comput. Inf.
-Sci. 5, 1976): evaluated nodes wait in a heap, largest packing bound
-first, and the first feasible node popped is a largest feasible graph,
-since no open node can beat its count.  Nodes whose bound does not beat
-the floor, a feasible seed's count or else −1, are dropped.  Bound ties
-pop in depth-first order, so the witness is the depth-first least leaf
-of the value among the nodes whose bound reaches it, the leaf a
-depth-first search from any floor below the value returns; and best
-first expands only nodes such a search expands too.  Enumerate mode pops
-in depth-first order alone, so its heap holds about one node per level.
+Both questions are one pass of best-first branch and bound (Ibaraki,
+Int. J. Comput. Inf. Sci. 5, 1976): evaluated nodes wait in a heap,
+largest packing bound first, and the first feasible node popped is a
+largest feasible graph, since no open node can beat its count.  Nodes
+whose bound does not beat the floor are dropped: a feasible seed's count
+(less one in an enumeration, which collects the seed's class too), or
+else −1.  Bound ties pop in depth-first order, so the witness is the
+depth-first least leaf of the value among the nodes whose bound reaches
+it, the leaf a depth-first search from any floor below the value
+returns; and best first expands only nodes such a search expands too.
+An enumeration then raises the floor to the value − 1 and pops on until
+no open node reaches the value, collecting the class of every feasible
+node popped: it evaluates exactly the nodes a depth-first search at
+that floor evaluates.
 
 Searches are deterministic: realizations are found lexicographically
 (families in normalized order, copies in sorted edge order, same-family
@@ -318,20 +322,21 @@ class _Searcher:
     def run(self, floor: int, node_limit: int, enumerate_all: bool):
         """Explore the orbital freezing tree below the root in one loop
         over a heap of evaluated nodes, dropping every node whose packing
-        bound does not beat `floor` edges.  Nodes pop by (−bound, path) in
-        value mode and by path alone in enumerate mode, where a node's path
-        is its string of children from the root (A = 0, B = 1), so that
-        bound ties, and the whole enumerate pass, pop in depth-first order.
-        Value mode returns (count, mask) of the first feasible node popped,
-        a largest feasible graph above the floor, or (floor, None) when
-        there is none; enumerate mode returns the set of canonical forms of
-        the feasible leaves."""
+        bound does not beat `floor` edges.  Nodes pop by (−bound, path),
+        where a node's path is its string of children from the root (A =
+        0, B = 1), so that bound ties pop in depth-first order.  Returns
+        (count, mask, forms): a feasible node popped, a largest feasible
+        graph above the floor, or (floor, None) when there is none.  Value
+        mode returns at the first such node, with no forms; enumerate mode
+        raises the floor to count − 1 and keeps popping until no open node
+        reaches the count, collecting the canonical forms of the feasible
+        nodes it pops."""
         if self.orbit_tables is None:
             self.orbit_tables = self._orbit_tables()
         _, link_bits, _, shift, root = self.orbit_tables
         kill, pack = self.kill, self.pack
-        found: set = set()
-        heap = []  # (-bound or 0, path, g, frozen, count, alive, links, pick)
+        best, forms = (floor, None), set()
+        heap = []  # (-bound, path, g, frozen, count, alive, links, pick)
         # the nodes to evaluate: (path, g, frozen, count, alive, links), the
         # children of the node popped with `key`
         todo = ((b"", self.full, 0, len(self.edges), self.alive_in(self.full),
@@ -341,11 +346,11 @@ class _Searcher:
             for path, g, frozen, cnt, alive, links in todo:
                 self.nodes += 1
                 if self.nodes > node_limit:
-                    # in value mode every graph not ruled out lies below an
-                    # open node or the popped one: the largest bound bounds it
+                    # every graph not ruled out lies below an open node or
+                    # the popped one: the largest bound bounds it
                     self.limit_hit = True
                     self.skipped_upper = -min(key, heap[0][0] if heap else key)
-                    return found if enumerate_all else (floor, None)
+                    return best + (forms,)
                 # the packing bound; a = the copies the deletions leave
                 bound, a, first = cnt, alive, 0
                 while bound > floor:
@@ -363,16 +368,18 @@ class _Searcher:
                         a &= ~kill[low.bit_length() - 1]
                         nonfrozen ^= low
                 if bound > floor:
-                    heappush(heap, (0 if enumerate_all else -bound, path, g,
-                                    frozen, cnt, alive, links, first & -first))
-            if not heap:
-                return found if enumerate_all else (floor, None)
+                    heappush(heap, (-bound, path, g, frozen, cnt, alive, links,
+                                    first & -first))
+            if not heap or heap[0][0] >= -floor:  # none beats the floor
+                return best + (forms,)
             # pick = the bit of the edge to branch on, 0 at a feasible node
             key, path, g, frozen, cnt, alive, links, pick = heappop(heap)
             if not pick:  # no open node has a larger bound
+                best = cnt, g
                 if not enumerate_all:
-                    return cnt, g
-                found.add(canonical_form(self.graph_of(g)).graph())
+                    return best + (forms,)
+                floor = cnt - 1  # the value's other leaves stay open
+                forms.add(canonical_form(self.graph_of(g)).graph())
                 todo = ()
                 continue
             # child A deletes e, child B freezes its orbit
@@ -409,32 +416,26 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
             seeded = seed.edge_count
             seed_mask = m
 
-    # The value pass (module docstring).  Fano at n = 10 takes 315 nodes;
-    # depth first it took 49 305 from below, and 759 in runs for more than
-    # 119, 118, ... edges.
-    value, witness = s.run(seeded if seed_mask is not None else -1, limit,
-                           False)
-    if witness is None:
-        witness = seed_mask
-    upper = max(value, s.skipped_upper) if s.limit_hit else value
-    value = max(value, 0)  # the empty graph is feasible even if never reached
-    status = "bounds" if s.limit_hit else "exact"
-    extremal = ()
-    if witness is not None:
+    # One best-first pass (module docstring).  Fano at n = 10 takes 315
+    # nodes; depth first it took 49 305 from below, and 759 in runs for
+    # more than 119, 118, ... edges.  An enumeration starts below a seed's
+    # count, so that it collects the seed's class too.
+    floor = -1
+    if seed_mask is not None:
+        floor = seeded - 1 if enumerate_all else seeded
+    value, witness, forms = s.run(floor, limit, enumerate_all)
+    if witness is None:  # the seed's count, or the never reached empty graph
+        value, witness = seeded, seed_mask
+    # once a feasible node is popped, its count is the value
+    upper = max(value, s.skipped_upper) if s.limit_hit and not forms else value
+    extremal = tuple(sorted(forms, key=lambda g: g.edges))
+    if not forms and witness is not None:
         extremal = (canonical_form(s.graph_of(witness)).graph(),)
-    nodes, complete = s.nodes, False
-    if enumerate_all and status == "exact":
-        # second pass on the same tables: collect the value's leaves,
-        # with a node budget of its own
-        s.nodes = 0
-        forms = s.run(value - 1, limit, True)
-        nodes += s.nodes
-        complete = not s.limit_hit
-        status = "exact" if complete else "bounds"
-        extremal = tuple(sorted(forms, key=lambda g: g.edges))
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return TuranRecord(n, config.r, config.hash_hex(), status, value, upper,
-                       extremal, complete, nodes, elapsed, seeded)
+    return TuranRecord(n, config.r, config.hash_hex(),
+                       "bounds" if s.limit_hit else "exact", value, upper,
+                       extremal, enumerate_all and not s.limit_hit, s.nodes,
+                       elapsed, seeded)
 
 
 def _record_key(n: int, config: ForbiddenConfig) -> str:
@@ -475,9 +476,9 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record of the current format, rechecking every
     stored extremal graph with `matching`'s packing search before
     trusting it.  None on any mismatch (an exact record has upper ==
-    value, a bool `extremal_complete` and at least one graph, no two
-    isomorphic, as the solver writes them), and for an n over the edge
-    budget, so that the solve raises as on a miss.  Over
+    value, integer counts, a bool `extremal_complete` and at least one
+    graph, no two isomorphic, as the solver writes them), and for an n
+    over the edge budget, so that the solve raises as on a miss.  Over
     `matching._MAX_COPIES` copies in a stored graph raise, as they would
     in K_n's solve."""
     if comb(n, config.r) > _MAX_EDGES:
@@ -494,6 +495,10 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
             return None
         if doc["upper"] != doc["value"] or not isinstance(
                 doc["extremal_complete"], bool):
+            return None
+        # JSON true and false load as bools, which Python counts as ints
+        if any(type(doc[k]) is not int for k in (
+                "value", "upper", "nodes", "elapsed_ms", "seeded_lower")):
             return None
         if doc["config_hash"] != config.hash_hex():
             return None

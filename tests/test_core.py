@@ -70,6 +70,13 @@ def test_validation_errors():
         Hypergraph(-1, 2, ())
 
 
+@pytest.mark.parametrize("edge", [(True, 2), (0, True), (False, 1)])
+def test_bool_vertices_are_refused(edge):
+    # True == 1 and False == 0, but a vertex is an int, not a bool
+    with pytest.raises(ValueError, match="uses vertex"):
+        Hypergraph(3, 2, (edge,))
+
+
 def test_has_edge():
     g = turan_graph(5, 2)
     assert g.has_edge((3, 0))

@@ -305,6 +305,39 @@ def test_cache_recomputes_records_with_malformed_graphs(cache):
     assert again.value == 9 and again.extremal == rec.extremal
 
 
+def test_cache_recomputes_records_with_bool_vertices(cache):
+    # JSON true is Python's True == 1: read as it stands, the edge [0, 1]
+    # written [0, true] would load as the edge (0, True)
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    edges = [list(e) for e in rec.extremal[0].edges]
+    i = next(i for i, e in enumerate(edges) if 1 in e)
+    edges[i] = [True if v == 1 else v for v in edges[i]]
+    path = _tamper(cache, extremal=[edges])
+    assert solver._load(path, 6, cfg) is None
+    again = max_edges(6, cfg, cache_dir=cache)
+    assert again.extremal == rec.extremal
+    assert all(type(v) is int for e in again.extremal[0].edges for v in e)
+
+
+@pytest.mark.parametrize("fields", [
+    {"value": True, "upper": True},  # ex(2, 2K2) = 1 == True
+    {"nodes": "lots"},
+    {"elapsed_ms": 2.5},
+    {"seeded_lower": None},
+])
+def test_cache_recomputes_records_with_non_integer_counts(cache, fields):
+    cfg = config_of([(EDGE2, 2)])
+    rec = max_edges(2, cfg, cache_dir=cache)
+    assert rec.value == 1
+    path = _tamper(cache, **fields)
+    assert solver._load(path, 2, cfg) is None
+    again = max_edges(2, cfg, cache_dir=cache)
+    assert again == solver._load(path, 2, cfg)
+    for name in ("value", "upper", "nodes", "elapsed_ms", "seeded_lower"):
+        assert type(getattr(again, name)) is int
+
+
 def test_cache_recomputes_records_of_other_formats(cache):
     cfg = config_of([(K3_ISO, 2)])
     assert max_edges(6, cfg, cache_dir=cache).value == 15
@@ -617,9 +650,12 @@ def test_seeded_node_counts(n, families, seed, value, nodes):
 
 def test_orbital_enumeration_node_count():
     rec = _solve(9, config_of([(K3, 2)]), None, True, None)
-    assert rec.nodes == 538  # both passes
-    value = _solve(9, config_of([(K3, 2)]), None, False, None)
-    assert rec.nodes - value.nodes == 297  # the enumerate pass alone
+    assert rec.nodes == 297
+    # one best-first pass evaluates the nodes the old enumerate pass did,
+    # which ran depth first at the value after the value pass
+    value = reference_descent(9, config_of([(K3, 2)]), None, False)
+    classes = reference_descent(9, config_of([(K3, 2)]), None, True)
+    assert classes.nodes - value.nodes == 297
     assert len(rec.extremal) == 1
     assert are_isomorphic(rec.extremal[0], join(1, turan(8, 2, 2)))
 
@@ -636,7 +672,7 @@ def test_copy_tables_are_in_edge_bit_order(n, f):
 
 
 def test_enumeration_builds_the_copy_tables_once(cache, monkeypatch):
-    # the value pass and the enumerate pass share one searcher
+    # the seed's feasibility check and the search share one searcher
     built = []
 
     class Counted(_Searcher):
@@ -769,7 +805,8 @@ def table_seed(n, cfg, rnd):
 def test_best_first_matches_the_descent(case, seeding, rnd):
     # against the value pass's old runs, depth first for more than k
     # edges, k descending or the seed's count: the same record in no more
-    # nodes, and the same enumerate pass
+    # nodes; and an enumeration evaluates the nodes of the old enumerate
+    # pass alone, which ran depth first at the value after the value pass
     n, cfg = case
     seed = None
     if seeding != "none":
@@ -792,7 +829,7 @@ def test_best_first_matches_the_descent(case, seeding, rnd):
     want_classes = reference_descent(n, cfg, seed, True)
     assert classes.extremal == want_classes.extremal
     assert key(classes) == key(want_classes)
-    assert classes.nodes - got.nodes == want_classes.nodes - want.nodes
+    assert classes.nodes == want_classes.nodes - want.nodes
 
 
 def links_of(s, g, frozen):
@@ -861,18 +898,25 @@ def test_orbit_is_the_twin_group_orbit(r, n, rnd):
     (8, ((K3, 1),), join(1, empty(7, 2)), 16),  # floor at a star's count
 ])
 def test_node_limits_give_brackets(n, families, seed, exact):
+    # in both modes; an enumeration starts below the seed's count, yet its
+    # lower end stays at the seed's count until it pops a feasible node
     cfg = config_of(families)
-    limit = 1
-    while True:
-        rec = _solve(n, cfg, seed, False, limit)
-        if rec.status == "exact":
-            assert rec.value == exact and rec.nodes <= limit
-            break
-        assert rec.status == "bounds"
-        assert 0 <= rec.value <= exact <= rec.upper
-        assert rec.nodes > limit
-        limit += 1
-    assert limit > 40
+    lower = seed.edge_count if seed is not None else 0
+    for enumerate_all in (False, True):
+        full = _solve(n, cfg, seed, enumerate_all, None)
+        limit = 1
+        while True:
+            rec = _solve(n, cfg, seed, enumerate_all, limit)
+            if rec.status == "exact":
+                assert rec.value == exact and rec.nodes <= limit
+                assert limit == full.nodes and rec.extremal == full.extremal
+                assert rec.extremal_complete == enumerate_all
+                break
+            assert rec.status == "bounds" and not rec.extremal_complete
+            assert lower <= rec.value <= exact <= rec.upper
+            assert rec.nodes > limit
+            limit += 1
+        assert limit > 40
 
 
 def count_orbit_tables(monkeypatch):
@@ -890,7 +934,7 @@ def count_orbit_tables(monkeypatch):
 def test_orbit_tables_are_built_only_by_searches(cache, monkeypatch):
     built = count_orbit_tables(monkeypatch)
     cfg = config_of([(K3, 2)])
-    # both passes of one enumeration share one build
+    # one enumeration builds them once
     first = enumerate_extremal(7, cfg, cache_dir=cache)
     assert built == [7]
     # a cache hit revalidates the stored graphs without building them
@@ -931,9 +975,9 @@ def test_searches_leave_no_cyclic_garbage():
     (6, ((complete(4, 3), 1),)),
 ])
 def test_carried_links_are_the_links_of_each_node(n, families, monkeypatch):
-    # the twin test reads links carried down the tree; at every node of
-    # both passes they must be those of (g, frozen), frozen colour
-    # included (child B records the orbit it freezes)
+    # the twin test reads links carried down the tree; at every node an
+    # enumeration evaluates they must be those of (g, frozen), frozen
+    # colour included (child B records the orbit it freezes)
     searchers, nodes = [], []
 
     class Recorded(_Searcher):
