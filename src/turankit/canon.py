@@ -11,7 +11,9 @@ found in two phases:
     swaps inside the root's cells and pairs of leaves with equal relabeled
     edge lists reveal automorphisms, and a subtree is skipped only when a
     found automorphism maps it onto one already explored, so the found
-    generators generate all of Aut(G).  The least leaf's relabeled edge
+    generators generate all of Aut(G).  When every root cell is a twin
+    class the tree is a single path and needs no search: its one leaf
+    lists the root's cells in order.  The least leaf's relabeled edge
     list is an isomorphism invariant, and a complete one (the phase-1
     certificate), but not the global lex-min;
 
@@ -25,6 +27,13 @@ found in two phases:
     of its final tuple; the bound groups the undecided edges by that
     prefix K and completes a group of k edges with the k least K + S,
     S drawn from the labels still free, merged with the decided tuples.
+
+Both phases find orbits with a union-find that unites only the points a
+generator moves, one pair per point after a cycle's first (a twin swap
+costs one union).  Phase 1 keeps one oracle per search node and unites
+only the generators found since its last sibling; phase 2 hands each
+child the generators that still fix its labeled vertices and the
+parent's oracle when none of them dropped out.
 
 `canonical_labeling` runs both phases for the callers that return or
 store a form, where the lex-min order itself matters: `ForbiddenConfig`
@@ -44,6 +53,7 @@ from itertools import combinations, islice
 from typing import NamedTuple, Optional, Sequence
 
 Edge = tuple[int, ...]
+Moved = tuple[int, tuple[tuple[int, int], ...]]  # see `_moved`
 
 
 class Scan(NamedTuple):
@@ -100,16 +110,41 @@ def _refine(n: int, edges: Sequence[Edge], incident: Sequence[Sequence[int]],
     return cells
 
 
+def _moved(g: Sequence[int]) -> Moved:
+    """The permutation g as (support, pairs): the bitset of the points it
+    moves, and each cycle's first point paired with the cycle's other
+    points, so that uniting the pairs unites g's orbits."""
+    support = 0
+    pairs = []
+    for a, b in enumerate(g):
+        if a != b and not support >> a & 1:  # a opens a new cycle
+            support |= 1 << a
+            while b != a:
+                support |= 1 << b
+                pairs.append((a, b))
+                b = g[b]
+    return support, tuple(pairs)
+
+
 class _OrbitOracle:
     """Union-find over the orbits of the subgroup generated by the known
-    automorphisms that fix `base` pointwise."""
+    automorphisms that fix the vertex bitset `base` pointwise.  Generators
+    come as `_moved` pairs; `update` unites those appended to its list
+    since the last call, so a node whose generators grow keeps its
+    oracle."""
 
-    def __init__(self, n: int, generators: Sequence[tuple[int, ...]], base):
+    def __init__(self, n: int, base: int):
         self.parent = list(range(n))
-        for g in generators:
-            if all(g[b] == b for b in base):
-                for a in range(n):
-                    self._union(a, g[a])
+        self.base = base
+        self.known = 0
+
+    def update(self, moved: Sequence[Moved]) -> None:
+        base = self.base
+        for support, pairs in moved[self.known:]:
+            if not support & base:
+                for a, b in pairs:
+                    self._union(a, b)
+        self.known = len(moved)
 
     def _find(self, x: int) -> int:
         parent = self.parent
@@ -129,12 +164,12 @@ class _OrbitOracle:
 
 
 def _twin_transpositions(n: int, edges: Sequence[Edge],
-                         cells: list[list[int]]) -> list[tuple[int, ...]]:
-    """Automorphisms that are free to detect: transpositions (u v) whose
-    swap maps the edge set onto itself, in (u, v) order; u and v share a
-    cell of the invariant partition `cells`.  With link(w) the bitsets of
-    the (r-1)-sets e - w over the edges e at w, the swap is one exactly
-    when every set in link(u) ^ link(v) contains u or v: a set of link(u)
+                         cells: list[list[int]]) -> list[tuple[int, int]]:
+    """Automorphisms that are free to detect: the pairs u < v whose swap
+    maps the edge set onto itself, sorted; u and v share a cell of the
+    invariant partition `cells`.  With link(w) the bitsets of the
+    (r-1)-sets e - w over the edges e at w, the swap is one exactly when
+    every set in link(u) ^ link(v) contains u or v: a set of link(u)
     holding v comes from an edge through both, which the swap fixes, and
     every other set of either link must lie in the other."""
     if len(cells) == n:
@@ -146,16 +181,18 @@ def _twin_transpositions(n: int, edges: Sequence[Edge],
             whole |= 1 << v
         for v in e:
             links[v].add(whole ^ (1 << v))
-    twins = sorted((u, v) for cell in cells for u, v in combinations(cell, 2)
-                   if all(s & (1 << u | 1 << v) for s in links[u] ^ links[v]))
-    return [tuple([v if w == u else u if w == v else w for w in range(n)])
-            for u, v in twins]
+    return sorted((u, v) for cell in cells for u, v in combinations(cell, 2)
+                  if all(s & (1 << u | 1 << v) for s in links[u] ^ links[v]))
 
 
 def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
     """Phase 1: automorphism generators and the least leaf of the
     refinement tree, seeded with the twin transpositions.  The root starts
-    from the unit partition's first round: the degree classes, ascending."""
+    from the unit partition's first round: the degree classes, ascending.
+    When every pair in each root cell is a twin pair, the tree is one
+    path: a twin class stays a twin class under individualising, so no
+    cell splits, and each node's later vertices are its first's twins.
+    Its leaf lists the root's cells in order."""
     if not edges:
         # Aut is every permutation: the adjacent transpositions generate it
         adjacent = tuple(tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n))
@@ -175,7 +212,10 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
     best_edges: Optional[tuple[Edge, ...]] = None
     best_perm: Optional[tuple[int, ...]] = None
     leaf_seen: dict[tuple[Edge, ...], list[list[int]]] = {}  # edges -> leaf
-    generators = _twin_transpositions(n, edges, root)
+    twins = _twin_transpositions(n, edges, root)
+    generators = [tuple([v if w == u else u if w == v else w for w in range(n)])
+                  for u, v in twins]
+    moved = [(1 << u | 1 << v, ((u, v),)) for u, v in twins]
     gen_set = set(generators)
 
     def visit_leaf(cells: list[list[int]]) -> None:
@@ -191,29 +231,34 @@ def refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
             if gamma not in gen_set:
                 gen_set.add(gamma)
                 generators.append(gamma)
+                moved.append(_moved(gamma))
         if best_edges is None or relabeled < best_edges:
             best_edges = relabeled
             best_perm = tuple(perm)
 
-    def search(cells: list[list[int]], base: tuple[int, ...]) -> None:
+    def search(cells: list[list[int]], base: int) -> None:
         # `cells` comes refined; branch on its first smallest open cell
         if len(cells) == n:
             visit_leaf(cells)
             return
         _, target = min((len(c), i) for i, c in enumerate(cells) if len(c) > 1)
         explored: list[int] = []
-        oracle, known = None, -1  # rebuilt only when generators grow
+        oracle = None  # one per node, updated when generators grow
         for v in cells[target]:
-            if explored and known < len(generators):
-                oracle, known = _OrbitOracle(n, generators, base), len(generators)
+            if explored:
+                oracle = oracle or _OrbitOracle(n, base)
+                oracle.update(moved)
             if not explored or not oracle.same(v, explored):
                 rest = [u for u in cells[target] if u != v]
                 child = cells[:target] + [[v], rest] + cells[target + 1:]
-                search(_refine(n, edges, incident, child), base + (v,))
+                search(_refine(n, edges, incident, child), base | 1 << v)
             explored.append(v)
 
     try:
-        search(root, ())
+        if len(twins) == sum(len(c) * (len(c) - 1) // 2 for c in root):
+            visit_leaf([[v] for cell in root for v in cell])
+        else:
+            search(root, 0)
     finally:
         del search  # it refers to itself: break the cycle, free the scan
     assert best_perm is not None and best_edges is not None
@@ -269,7 +314,10 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
                 return t > b
         return True  # optimistic completion equals best exactly
 
-    def search(j: int, decided: list[Edge], known: list[Edge]) -> None:
+    def search(j: int, decided: list[Edge], known: list[Edge],
+               gens: list[Moved], oracle: Optional[_OrbitOracle]) -> None:
+        # `gens`: the generators that fix the labeled vertices, as `_moved`
+        # pairs; `oracle`, if given, is the parent's, built from the same
         if j == n:
             improve(decided, tuple(assign))
             return
@@ -291,8 +339,9 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
                            if len(known[ei]) == r - 1)
             scored.append((newly or [maxtuple], u, newly))
         scored.sort(key=lambda t: (t[0], t[1]))
-        base = tuple(v for v in range(n) if label_of[v] >= 0)
-        oracle = _OrbitOracle(n, generators, base) if len(scored) > 1 else None
+        if oracle is None and gens and len(scored) > 1:
+            oracle = _OrbitOracle(n, 0)  # every one of `gens` fixes the base
+            oracle.update(gens)
         tried: list[int] = []
         for _, u, newly in scored:
             if tried and oracle is not None and oracle.same(u, tried):
@@ -308,13 +357,15 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
             placed = list(known)
             for ei in incident_idx[u]:
                 placed[ei] = known[ei] + (j,)
-            search(j + 1, child, placed)
+            kept = [g for g in gens if not g[0] >> u & 1]
+            search(j + 1, child, placed, kept,
+                   oracle if len(kept) == len(gens) else None)
             label_of[u] = -1
             assign[j] = -1
             tried.append(u)
 
     try:
-        search(0, [], [()] * m)
+        search(0, [], [()] * m, [_moved(g) for g in generators], None)
     finally:
         del search  # as in `refinement_scan`
     if best_assign is None:

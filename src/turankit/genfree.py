@@ -17,9 +17,10 @@ Two filters keep the output isomorph-free without a seen-set (McKay,
 Both filters read the graph's `canon.refinement_scan`: its generators
 generate the automorphism group, and its least-leaf relabeled edge list
 is an isomorphism invariant, so the chosen orbit does not depend on the
-labeling.  A graph is scanned only when a choice reads the scan.  Every
-candidate first walks the parent's edges ranked by key and is dropped
-when its added edge would not have the least key; degrees and the key
+labeling.  A graph is scanned only when a choice reads the scan.  The
+candidates whose added edge can have the least key, read off per-vertex
+star masks, first walk the parent's edges ranked by key and are dropped
+when the added edge would not have the least key; degrees and the key
 are invariants, so the survivors are a union of orbits, the least
 survivor of each orbit is its representative, and the parent is scanned
 for the split only when two or more candidates survive.  A child is
@@ -69,39 +70,75 @@ def _orbit_representatives(candidates: list, generators) -> list:
     return reps
 
 
+def _key_candidates(deg: list, star: list, mask: int) -> int:
+    """The non-edges (universe bits off in `mask`; star[v] is the bitset
+    of the r-sets at v) whose added edge passes the first entry of the
+    sorted-degree key, its least degree plus one.  A vertex w outside the
+    added edge keeps its degree, and an edge at w has a key whose first
+    entry is at most deg[w], so the added edge passes exactly when its
+    least degree plus one is at most every positive degree outside it:
+    when it meets an isolated vertex, or holds every vertex of least
+    positive degree."""
+    lowest = min([d for d in deg if d], default=0)
+    meets = 0
+    holds = -1 if lowest else 0
+    for v, d in enumerate(deg):
+        if not d:
+            meets |= star[v]
+        elif d == lowest:
+            holds &= star[v]
+    return (meets | holds) & ~mask
+
+
+def _key_survivors(universe: list, cands: int, span: dict, edges: tuple,
+                   deg: list) -> dict:
+    """Each candidate (a bit of `cands`, lowest first) whose added edge
+    has the least sorted-degree key in the child, mapped to the child's
+    edges tied with it, itself first.  `span` maps an edge to its vertex
+    bitset.  The parent's (key, edge) pairs are ranked once; adding an
+    edge never lowers a key, so a walk stops at the first parent key
+    above the added edge's, and an edge missing the added one keeps its
+    parent key."""
+    ranked = sorted([(sorted([deg[v] for v in f]), f, span[f]) for f in edges])
+    passed = {}
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        e = universe[low.bit_length() - 1]
+        added = span[e]
+        key_added = sorted([deg[v] + 1 for v in e])
+        tied = [e]
+        for key, f, f_span in ranked:
+            if key > key_added:
+                break
+            if f_span & added:
+                key = sorted([deg[v] + (added >> v & 1) for v in f])
+            if key < key_added:
+                tied = None
+                break
+            if key == key_added:
+                tied.append(f)
+        if tied is not None:
+            passed[e] = tied
+    return passed
+
+
 def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
     """All feasible graphs on n labeled vertices, one per isomorphism
     class, in nondecreasing edge-count order along each branch."""
     s = _Searcher(n, config)
     universe = s.edges
+    star = [0] * n
+    for i, e in enumerate(universe):
+        for v in e:
+            star[v] |= 1 << i
+    span = {e: sum(1 << v for v in e) for e in universe}
 
     def visit(mask: int, edges: tuple, scan: Optional[Scan],
               deg: list) -> Iterator[Hypergraph]:
         yield Hypergraph._unchecked(n, s.r, edges)  # sorted universe entries
-        # the parent's (key, edge) pairs in increasing order; adding an
-        # edge never lowers a key, so a child's walk stops at the first
-        # parent key above the key of its added edge
-        ranked = sorted([(sorted([deg[v] for v in e]), e) for e in edges])
-        passed = {}  # candidate -> (its edges tied with it, child degrees)
-        for i, e in enumerate(universe):
-            if mask >> i & 1:
-                continue
-            child_deg = list(deg)
-            for v in e:
-                child_deg[v] += 1
-            key_added = sorted([child_deg[v] for v in e])
-            tied = [e]
-            for key, f in ranked:
-                if key > key_added:
-                    break
-                key = sorted([child_deg[v] for v in f])
-                if key < key_added:
-                    tied = None
-                    break
-                if key == key_added:
-                    tied.append(f)
-            if tied is not None:
-                passed[e] = tied, child_deg
+        passed = _key_survivors(universe, _key_candidates(deg, star, mask),
+                                span, edges, deg)
         # the survivors are a union of orbits (the key is an invariant):
         # a lone survivor is its own representative and needs no scan
         reps = list(passed)
@@ -113,7 +150,7 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
             child_mask = mask | (1 << s.index[e])
             if not s.is_feasible(child_mask):
                 continue
-            tied, child_deg = passed[e]
+            tied = passed[e]
             child_edges = tuple(sorted(edges + (e,)))
             child_scan = None
             if len(tied) > 1:  # is e in the orbit of the least image?
@@ -122,6 +159,9 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
                 least = min(tied, key=lambda t: sorted(perm[v] for v in t))
                 if e not in _orbit(least, child_scan.generators):
                     continue
+            child_deg = list(deg)
+            for v in e:
+                child_deg[v] += 1
             yield from visit(child_mask, child_edges, child_scan, child_deg)
 
     yield from visit(0, (), None, [0] * n)

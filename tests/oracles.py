@@ -22,7 +22,7 @@ from itertools import combinations, permutations, product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from turankit.canon import Edge, Scan, _OrbitOracle, refinement_scan
+from turankit.canon import Edge, Scan, refinement_scan
 from turankit.core import Hypergraph, canonical_form
 from turankit.genfree import _orbit, _orbit_representatives
 from turankit.matching import (
@@ -686,6 +686,36 @@ def _reference_refine(n: int, incident: Sequence[Sequence[Edge]],
             return cells
 
 
+class ReferenceOrbitOracle:
+    """`canon._OrbitOracle` before it took generators as moved points:
+    union-find over the orbits of the subgroup generated by the
+    generators that fix every vertex of the tuple `base`, uniting each
+    vertex with its image under each such generator."""
+
+    def __init__(self, n: int, generators: Sequence[tuple[int, ...]], base):
+        self.parent = list(range(n))
+        for g in generators:
+            if all(g[b] == b for b in base):
+                for a in range(n):
+                    self._union(a, g[a])
+
+    def _find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def _union(self, a: int, b: int) -> None:
+        ra, rb = self._find(a), self._find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def same(self, v: int, others) -> bool:
+        rv = self._find(v)
+        return any(self._find(u) == rv for u in others)
+
+
 def _reference_twin_transpositions(n: int, edges: Sequence[Edge],
                                    incident: Sequence[Sequence[Edge]]) -> list[tuple[int, ...]]:
     """Automorphisms that are free to detect: transpositions (u v) whose
@@ -766,7 +796,7 @@ def reference_refinement_scan(n: int, edges: Sequence[Edge]) -> Scan:
             return
         explored: list[int] = []
         for v in cells[target]:
-            if explored and _OrbitOracle(n, generators, base).same(v, explored):
+            if explored and ReferenceOrbitOracle(n, generators, base).same(v, explored):
                 explored.append(v)
                 continue
             rest = [u for u in cells[target] if u != v]
@@ -786,8 +816,8 @@ def reference_canonical_labeling(n: int, edges: Sequence[Edge]):
     """`canon.canonical_labeling` before its completion bound read the
     labels each undecided edge already has: phase 2 bounds by a pool of
     all r-tuples whose largest label is >= j (when C(n, r) <= 4096), else
-    by copies of (0, .., r-2, j).  Shares the phase-1 scan and the orbit
-    oracle with the package."""
+    by copies of (0, .., r-2, j).  Shares the phase-1 scan with the package;
+    its orbit oracle is `ReferenceOrbitOracle`."""
     generators, seed_perm, seed_edges = refinement_scan(n, edges)
     if not edges:
         return seed_perm, ()
@@ -865,7 +895,7 @@ def reference_canonical_labeling(n: int, edges: Sequence[Edge]):
             scored.append((newly or [maxtuple], u, newly))
         scored.sort(key=lambda t: (t[0], t[1]))
         base = tuple(v for v in range(n) if label_of[v] >= 0)
-        oracle = _OrbitOracle(n, generators, base) if len(scored) > 1 else None
+        oracle = ReferenceOrbitOracle(n, generators, base) if len(scored) > 1 else None
         tried: list[int] = []
         for _, u, newly in scored:
             if tried and oracle is not None and oracle.same(u, tried):
@@ -928,6 +958,37 @@ def degree_edge_keys(n: int, edges: tuple):
         for v in e:
             deg[v] += 1
     return lambda s: tuple(sorted(deg[v] for v in s))
+
+
+def reference_key_walk(universe: list, mask: int, edges: tuple,
+                       deg: list) -> dict:
+    """`genfree`'s candidate walk before star masks: every non-edge of
+    `universe` (bits off in `mask`) walks the parent's edges ranked by
+    the sorted-degree key, each re-keyed under a fresh copy of the child
+    degrees.  Maps each candidate whose added edge has the least key to
+    (its tied edges, itself first; the child degrees)."""
+    ranked = sorted([(sorted([deg[v] for v in e]), e) for e in edges])
+    passed = {}
+    for i, e in enumerate(universe):
+        if mask >> i & 1:
+            continue
+        child_deg = list(deg)
+        for v in e:
+            child_deg[v] += 1
+        key_added = sorted([child_deg[v] for v in e])
+        tied = [e]
+        for key, f in ranked:
+            if key > key_added:
+                break
+            key = sorted([child_deg[v] for v in f])
+            if key < key_added:
+                tied = None
+                break
+            if key == key_added:
+                tied.append(f)
+        if tied is not None:
+            passed[e] = tied, child_deg
+    return passed
 
 
 def _reference_is_canonical_addition(n: int, edges: tuple, added: tuple,

@@ -12,15 +12,18 @@ from itertools import combinations
 
 from hypothesis import example, given, settings, strategies as st
 
-from turankit.canon import _refine, canonical_labeling, refinement_scan
+from turankit import canon
+from turankit.canon import (
+    _moved, _OrbitOracle, _refine, canonical_labeling, refinement_scan,
+)
 from turankit.core import (
     Hypergraph, canonical_form, complete, disjoint_union, empty, join,
 )
 
 from oracles import (
-    _reference_refine, automorphism_count, cycle_graph, fano_graph,
-    group_order, reference_canonical_labeling, reference_refinement_scan,
-    relabel,
+    ReferenceOrbitOracle, _reference_refine, automorphism_count, cycle_graph,
+    fano_graph, group_order, reference_canonical_labeling,
+    reference_refinement_scan, relabel,
 )
 
 # graphs whose automorphisms are mostly twin swaps or every permutation
@@ -38,6 +41,16 @@ SYMMETRIC = [
 ]
 
 K33 = Hypergraph(6, 2, tuple((u, v) for u in range(3) for v in range(3, 6)))
+
+# roots whose every cell is a twin class, so the scan needs no search: the
+# star K_{1,8}, K_{3,4}, K2 joined to 7 isolated vertices (15 edges), and
+# two triples sharing a pair beside three isolated vertices
+TWIN_ROOTS = [
+    join(1, empty(8, 2)),
+    Hypergraph(7, 2, tuple((u, v) for u in range(3) for v in range(3, 7))),
+    join(2, empty(7, 2)),
+    Hypergraph(7, 3, ((0, 1, 2), (0, 1, 3))),
+]
 
 
 @st.composite
@@ -83,9 +96,59 @@ def test_scan_matches_reference_on_symmetric_graphs():
 @example(fano_graph())
 @example(Hypergraph(8, 2, ((0, 1), (1, 2), (3, 4))))
 @example(Hypergraph(6, 1, ((0,), (2,), (3,))))
+@example(TWIN_ROOTS[0])
+@example(TWIN_ROOTS[1])
+@example(TWIN_ROOTS[2])
+@example(TWIN_ROOTS[3])
 def test_scan_matches_reference(g):
     # the same generators in the same order, the same least leaf
     assert refinement_scan(g.n, g.edges) == reference_refinement_scan(g.n, g.edges)
+
+
+def test_twin_root_needs_no_search(monkeypatch):
+    # the root is refined once and the scan returns its one leaf; the
+    # path P4 (ends 0 and 3 share a cell but are no twins) still searches
+    calls = []
+    refine = canon._refine
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(canon, "_refine", counted)
+    assert len(TWIN_ROOTS[2].edges) == 15
+    for g in TWIN_ROOTS:
+        calls.clear()
+        refinement_scan(g.n, g.edges)
+        assert len(calls) == 1
+    calls.clear()
+    refinement_scan(4, ((0, 1), (1, 2), (2, 3)))
+    assert len(calls) > 1
+
+
+def partition(oracle, n):
+    classes = {}
+    for v in range(n):
+        classes.setdefault(oracle._find(v), set()).add(v)
+    return {frozenset(c) for c in classes.values()}
+
+
+@settings(max_examples=200)
+@given(small_hypergraphs(max_n=8), st.data())
+def test_orbit_oracle_matches_reference(g, data):
+    # the generators of a scan, as moved points, give the reference's
+    # orbits for any base, also when they arrive in two batches
+    n = g.n
+    generators = refinement_scan(n, g.edges).generators
+    base = data.draw(st.sets(st.integers(0, max(n - 1, 0))) if n else st.just(set()))
+    moved = [_moved(gen) for gen in generators]
+    for gen, (support, pairs) in zip(generators, moved):
+        assert support == sum(1 << a for a in range(n) if gen[a] != a)
+    want = partition(ReferenceOrbitOracle(n, generators, tuple(sorted(base))), n)
+    oracle = _OrbitOracle(n, sum(1 << b for b in base))
+    oracle.update(moved[:data.draw(st.integers(0, len(moved)))])
+    oracle.update(moved)
+    assert partition(oracle, n) == want
 
 
 @st.composite

@@ -22,6 +22,7 @@ from oracles import (
     degree_sorted_relabeling,
     min_relabeling,
     reference_free_graphs,
+    reference_key_walk,
     reference_scan_free_graphs,
 )
 
@@ -194,6 +195,56 @@ def test_pinned_scan_count(monkeypatch):
     monkeypatch.setattr(genfree, "refinement_scan", counted)
     assert count_free(8, config_of([(K3, 1)])) == TRIANGLE_FREE_COUNTS[8]
     assert len(calls) == 342
+
+
+@st.composite
+def parent_graphs(draw):
+    """(n, r, edges): an r-graph with r in 1..4 on n <= 8 vertices, drawn
+    sparse or as the complement of a sparse draw."""
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    pool = list(combinations(range(n), r))
+    drawn = set(draw(st.lists(st.sampled_from(pool), unique=True))
+                if pool else [])
+    dense = draw(st.booleans())
+    return n, r, tuple(e for e in pool if (e in drawn) != dense)
+
+
+@settings(max_examples=300)
+@given(parent_graphs())
+# no edges; every r-set but one; a matching and an isolated vertex; the
+# path P4, whose two ends of least degree make one candidate; a star and
+# a 3-graph whose least-degree vertices no non-edge holds
+@example((6, 2, ()))
+@example((5, 2, tuple(e for e in combinations(range(5), 2) if e != (1, 3))))
+@example((7, 2, ((0, 1), (2, 3), (4, 5))))
+@example((4, 2, ((0, 1), (1, 2), (2, 3))))
+@example((5, 2, ((0, 1), (0, 2), (0, 3), (0, 4))))
+@example((6, 3, ((0, 1, 2), (0, 1, 3), (0, 4, 5))))
+def test_star_mask_candidates(case):
+    # the star mask is exactly the non-edges whose added edge passes the
+    # first entry of the sorted-degree key; every candidate of the old
+    # walk over the whole universe lies in it, and the walk over the mask
+    # keeps the same candidates, in order, with the same tied edges
+    n, r, edges = case
+    universe = list(combinations(range(n), r))
+    mask = sum(1 << universe.index(e) for e in edges)
+    deg = [sum(v in e for e in edges) for v in range(n)]
+    star = [sum(1 << i for i, e in enumerate(universe) if v in e)
+            for v in range(n)]
+    cands = genfree._key_candidates(deg, star, mask)
+    first = 0
+    for i, e in enumerate(universe):
+        child = [d + (v in e) for v, d in enumerate(deg)]
+        if e not in edges and all(min(child[v] for v in e) <= min(child[v] for v in f)
+                                  for f in edges):
+            first |= 1 << i
+    assert cands == first
+    want = reference_key_walk(universe, mask, edges, deg)
+    assert all(cands >> universe.index(e) & 1 for e in want)
+    span = {e: sum(1 << v for v in e) for e in universe}
+    got = genfree._key_survivors(universe, cands, span, edges, deg)
+    assert list(got.items()) == [(e, tied) for e, (tied, _) in want.items()]
 
 
 def test_yielded_graphs_are_plain_values():
