@@ -134,7 +134,8 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
             star[v] |= 1 << i
     span = {e: sum(1 << v for v in e) for e in universe}
 
-    def visit(mask: int, edges: tuple, scan: Optional[Scan],
+    # visit recurses through its argument: no closure refers to itself
+    def visit(again, mask: int, edges: tuple, scan: Optional[Scan],
               deg: list) -> Iterator[Hypergraph]:
         yield Hypergraph._unchecked(n, s.r, edges)  # sorted universe entries
         passed = _key_survivors(universe, _key_candidates(deg, star, mask),
@@ -162,9 +163,10 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
             child_deg = list(deg)
             for v in e:
                 child_deg[v] += 1
-            yield from visit(child_mask, child_edges, child_scan, child_deg)
+            yield from again(again, child_mask, child_edges, child_scan,
+                             child_deg)
 
-    yield from visit(0, (), None, [0] * n)
+    yield from visit(visit, 0, (), None, [0] * n)
 
 
 def count_free(n: int, config: ForbiddenConfig) -> int:

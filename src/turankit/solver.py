@@ -81,7 +81,7 @@ import json
 import os
 import time
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from hashlib import blake2b
 from heapq import heappop, heappush
@@ -121,12 +121,6 @@ def _node_limit(override: Optional[int]) -> int:
     if type(limit) is not int or limit < 1:
         raise ValueError(f"{name} must be an integer >= 1, not {limit!r}")
     return limit
-
-
-def _cache_dir(override) -> str:
-    if override is not None:
-        return str(override)
-    return os.environ.get("TURANKIT_CACHE", _DEFAULT_CACHE_DIR)
 
 
 @dataclass(frozen=True)
@@ -438,30 +432,25 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
                        elapsed, seeded)
 
 
-def _record_key(n: int, config: ForbiddenConfig) -> str:
-    h = blake2b(digest_size=8)
-    h.update(config.hash_hex().encode())
-    h.update(f"|n{n}".encode())
-    return h.hexdigest()
-
-
-def _cache_path(n, config, cache_dir) -> str:
-    return os.path.join(_cache_dir(cache_dir), _record_key(n, config) + ".json")
+def _cache_path(n: int, config: ForbiddenConfig, cache_dir) -> str:
+    """The record's file: in `cache_dir`, else TURANKIT_CACHE, else the
+    default directory, named by a hash of the config hash and n."""
+    if cache_dir is None:
+        cache_dir = os.environ.get("TURANKIT_CACHE", _DEFAULT_CACHE_DIR)
+    key = blake2b(f"{config.hash_hex()}|n{n}".encode(), digest_size=8)
+    return os.path.join(str(cache_dir), key.hexdigest() + ".json")
 
 
 def _store(record: TuranRecord, path: str) -> None:
-    """Write the record to a temporary file beside `path`, then move it
-    into place, so an interrupted write never replaces a good record."""
+    """Write the format and the record's fields in declaration order,
+    each graph as its edge list, to a temporary file beside `path`, then
+    move it into place, so an interrupted write never replaces a good
+    record."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    doc = {
-        "format": _FORMAT,
-        "n": record.n, "r": record.r, "config_hash": record.config_hash,
-        "status": record.status, "value": record.value, "upper": record.upper,
-        "extremal": [[list(e) for e in g.edges] for g in record.extremal],
-        "extremal_complete": record.extremal_complete,
-        "nodes": record.nodes, "elapsed_ms": record.elapsed_ms,
-        "seeded_lower": record.seeded_lower,
-    }
+    doc = {"format": _FORMAT}
+    for f in fields(TuranRecord):
+        doc[f.name] = getattr(record, f.name)
+    doc["extremal"] = [[list(e) for e in g.edges] for g in record.extremal]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -475,12 +464,14 @@ def _store(record: TuranRecord, path: str) -> None:
 def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     """Reload a cached record of the current format, rechecking every
     stored extremal graph with `matching`'s packing search before
-    trusting it.  None on any mismatch (an exact record has upper ==
-    value, integer counts, a bool `extremal_complete` and at least one
-    graph, no two isomorphic, as the solver writes them), and for an n
-    over the edge budget, so that the solve raises as on a miss.  Over
-    `matching._MAX_COPIES` copies in a stored graph raise, as they would
-    in K_n's solve."""
+    trusting it.  The checks follow `TuranRecord`'s fields: the record
+    is rebuilt by field name, so a missing or unknown key is a miss, and
+    every int field must hold an int.  None on any other mismatch too (an
+    exact record of this (n, r, config hash) has upper == value, a bool
+    `extremal_complete` and at least one graph, no two isomorphic, each
+    feasible with `value` edges), and for an n over the edge budget, so
+    that the solve raises as on a miss.  Over `matching._MAX_COPIES`
+    copies in a stored graph raise, as they would in K_n's solve."""
     if comb(n, config.r) > _MAX_EDGES:
         return None
     try:
@@ -489,22 +480,21 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
     except (OSError, json.JSONDecodeError):
         return None
     try:
-        if doc["format"] != _FORMAT:
+        if doc.pop("format") != _FORMAT:
             return None
-        if doc["status"] != "exact" or doc["n"] != n or doc["r"] != config.r:
+        # the annotations are strings (postponed evaluation); JSON true
+        # and false load as bools, which Python counts as ints
+        if any(type(doc[f.name]) is not int
+               for f in fields(TuranRecord) if f.type == "int"):
             return None
-        if doc["upper"] != doc["value"] or not isinstance(
-                doc["extremal_complete"], bool):
+        if (doc["status"] != "exact" or doc["n"] != n or doc["r"] != config.r
+                or doc["config_hash"] != config.hash_hex()
+                or doc["upper"] != doc["value"]
+                or type(doc["extremal_complete"]) is not bool):
             return None
-        # JSON true and false load as bools, which Python counts as ints
-        if any(type(doc[k]) is not int for k in (
-                "value", "upper", "nodes", "elapsed_ms", "seeded_lower")):
-            return None
-        if doc["config_hash"] != config.hash_hex():
-            return None
-        graphs = tuple(Hypergraph(n, config.r,
-                                  tuple(tuple(e) for e in edges))
-                       for edges in doc["extremal"])
+        graphs = doc["extremal"] = tuple(
+            Hypergraph(n, config.r, tuple(tuple(e) for e in edges))
+            for edges in doc["extremal"])
         # one graph per class: records holding one graph, as most do,
         # skip the scans
         if not graphs or (len(graphs) > 1 and len(
@@ -513,11 +503,8 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
         if any(g.edge_count != doc["value"] or has_disjoint_config(
                 g, config.families) is not None for g in graphs):
             return None
-        return TuranRecord(n, config.r, doc["config_hash"], "exact",
-                           doc["value"], doc["upper"], graphs,
-                           doc["extremal_complete"], doc["nodes"],
-                           doc["elapsed_ms"], doc["seeded_lower"])
-    except (KeyError, TypeError, ValueError):
+        return TuranRecord(**doc)
+    except (AttributeError, KeyError, TypeError, ValueError):
         return None
 
 

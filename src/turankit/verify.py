@@ -259,6 +259,8 @@ def check_remark_2k3(n: int, t: int) -> CheckReport:
     the t-apex formula applied to the two-triangle family: hard strict
     inequality for t >= 2, values reported observationally for t < 2."""
     t0 = time.perf_counter()
+    if t < 0:
+        raise ValueError(f"remark-2k3 needs t >= 0, not {t}")
     if n < 3 * (2 * t + 2):
         raise ValueError("need n >= 3(2t+2) so all terms are meaningful")
     lhs = comb(n, 2) - comb(n - 2 * t - 1, 2) + (n - 2 * t - 1) ** 2 // 4
@@ -281,8 +283,8 @@ def check_lemmas(n_max: int, tables: Sequence[TuranTable] = ()) -> CheckReport:
     2m*C(n-m,r-1) bound; the binomial ratio bound against a rational
     lower approximation of e; the average-degree drift bound on tables."""
     t0 = time.perf_counter()
-    if n_max > 200:
-        raise ValueError("n_max budget is 200")
+    if not 1 <= n_max <= 200:
+        raise ValueError(f"lemmas needs 1 <= n_max <= 200, not {n_max}")
     violations = []
     for r in range(1, 6):
         for n in range(r, n_max + 1):

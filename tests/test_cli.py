@@ -348,6 +348,13 @@ def test_verify_remark(files, capsys):
                   capsys)[0] == 2
 
 
+def test_verify_refuses_negative_parameters(capsys):
+    for argv in (["verify", "remark-2k3", "--n", "6", "--t", "-1"],
+                 ["verify", "lemmas", "--n-max", "-5"]):
+        code, text, err = invoke(argv, capsys)
+        assert code == 2 and text == "" and err.startswith("error:"), argv
+
+
 def test_verify_smoothness_pass_and_fail(files, capsys):
     base = ["verify", "smoothness", "--family", files["k3.hg"] + ":1",
             "--from", "3", "--to", "8"]

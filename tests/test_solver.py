@@ -358,6 +358,42 @@ def test_cache_recomputes_records_of_other_formats(cache):
         assert max_edges(6, cfg, cache_dir=cache).value == 15
 
 
+def test_cache_file_format_is_pinned(cache, monkeypatch):
+    # ex(5, K3) = 6 as written to disk: the file name, the keys and their
+    # order are the cache format, which caches filled before rely on
+    name, literal = "1dc6ca187fa82bcf.json", {
+        "format": 2, "n": 5, "r": 2, "config_hash": "76e19f39f13b48fa",
+        "status": "exact", "value": 6, "upper": 6,
+        "extremal": [[[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]],
+        "extremal_complete": False, "nodes": 13, "elapsed_ms": 1,
+        "seeded_lower": 0}
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(5, cfg, cache_dir=cache)
+    assert os.listdir(cache) == [name]
+    path = os.path.join(cache, name)
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert list(doc) == [
+        "format", "n", "r", "config_hash", "status", "value", "upper",
+        "extremal", "extremal_complete", "nodes", "elapsed_ms",
+        "seeded_lower"]
+    assert {**doc, "elapsed_ms": 1} == literal
+
+    # a record in this format loads as a hit; with a key more or less, or
+    # a float n (the record is rebuilt from the file's fields), a miss
+    with open(path, "w") as fh:
+        json.dump(literal, fh)
+    monkeypatch.setattr(solver, "_solve", None)  # a hit never solves
+    hit = max_edges(5, cfg, cache_dir=cache)
+    assert hit == TuranRecord(**{**vars(rec), "elapsed_ms": 1})
+    assert solver._load(path, 5, cfg) == hit
+    for bad in ({**literal, "digest": "0"}, {**literal, "n": 5.0},
+                {k: v for k, v in literal.items() if k != "seeded_lower"}):
+        with open(path, "w") as fh:
+            json.dump(bad, fh)
+        assert solver._load(path, 5, cfg) is None
+
+
 def test_interrupted_cache_write_keeps_previous_record(cache, monkeypatch):
     cfg = config_of([(K3, 1)])
     rec = max_edges(6, cfg, cache_dir=cache)
@@ -954,7 +990,8 @@ def test_searches_leave_no_cyclic_garbage():
     cfg = config_of([(K3, 1)])
     calls = (lambda: matching_number(K3, complete(9, 2)),
              lambda: _solve(7, cfg, None, True, None),
-             lambda: chromatic_number(complete(5, 2)))
+             lambda: chromatic_number(complete(5, 2)),
+             lambda: list(free_graphs(6, cfg)))
     for call in calls:
         call()  # warm the caches the call fills
     enabled = gc.isenabled()

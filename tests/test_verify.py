@@ -238,6 +238,12 @@ def test_remark_2k3_needs_room():
         check_remark_2k3(17, 2)
 
 
+def test_remark_2k3_refuses_negative_t():
+    # n = 6 is room enough for t = -1, which is no number of apices
+    with pytest.raises(ValueError, match="t >= 0, not -1"):
+        check_remark_2k3(6, -1)
+
+
 # ---------------------------------------------------------------- lemmas
 
 
@@ -250,6 +256,13 @@ def test_lemmas_sweep(k3_table):
 def test_lemmas_budget():
     with pytest.raises(ValueError):
         check_lemmas(201)
+
+
+def test_lemmas_refuse_an_empty_sweep():
+    # below n_max = 1 the sweeps check nothing, which is no pass
+    for n_max in (0, -5):
+        with pytest.raises(ValueError, match=f"not {n_max}"):
+            check_lemmas(n_max)
 
 
 # ----------------------------------------------------------------- facts
