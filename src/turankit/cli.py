@@ -243,8 +243,9 @@ def _cmd_rainbow(args):
 
 
 def _cmd_verify_smoothness(args):
+    g = parse_growth(args.g)  # refused before the table is solved
     table = ex_table(_family_config(args.family), args.lo, args.hi)
-    return _report_result(verify.check_smoothness(table, parse_growth(args.g)))
+    return _report_result(verify.check_smoothness(table, g))
 
 
 def _cmd_verify_boundedness(args):
@@ -263,10 +264,12 @@ def _cmd_verify_remark_2k3(args):
 
 
 def _cmd_verify_lemmas(args):
-    tables = []
+    specs = []
     for spec_text in args.table or ():
         path, lo, hi = spec_text.rsplit(":", 2)
-        tables.append(ex_table(_family_config(path), int(lo), int(hi)))
+        specs.append((_family_config(path), int(lo), int(hi)))
+    # solved lazily: `check_lemmas` validates n_max before it reads a table
+    tables = (ex_table(*spec) for spec in specs)
     return _report_result(verify.check_lemmas(args.n_max, tables=tables))
 
 

@@ -18,17 +18,18 @@ Both filters read the graph's `canon.refinement_scan`: its generators
 generate the automorphism group, and its least-leaf relabeled edge list
 is an isomorphism invariant, so the chosen orbit does not depend on the
 labeling.  A graph is scanned only when a choice reads the scan.  The
-candidates whose added edge can have the least key, read off per-vertex
-star masks, first walk the parent's edges ranked by key and are dropped
-when the added edge would not have the least key; degrees and the key
-are invariants, so the survivors are a union of orbits, the least
-survivor of each orbit is its representative, and the parent is scanned
-for the split only when two or more candidates survive.  A child is
-scanned only when its added edge ties with another edge under the key,
-and that scan is reused as its own parent scan.  Feasibility (no
-forbidden realization) is checked on the representatives only; it is
-downward closed, so the tree never needs to look above an infeasible
-graph.
+candidates whose added edge can have the least key, read off the star
+masks of the searcher's r-set universe (`solver._Searcher` owns its
+`star` and `spans` tables), first walk the parent's edges ranked by key
+and are dropped when the added edge would not have the least key;
+degrees and the key are invariants, so the survivors are a union of
+orbits, the least survivor of each orbit is its representative, and the
+parent is scanned for the split only when two or more candidates
+survive.  A child is scanned only when its added edge ties with another
+edge under the key, and that scan is reused as its own parent scan.
+Feasibility (no forbidden realization) is checked on the representatives
+only; it is downward closed, so the tree never needs to look above an
+infeasible graph.
 Everything is deterministic; one graph per isomorphism class is yielded
 in the generated labeling.
 """
@@ -127,12 +128,7 @@ def free_graphs(n: int, config: ForbiddenConfig) -> Iterator[Hypergraph]:
     """All feasible graphs on n labeled vertices, one per isomorphism
     class, in nondecreasing edge-count order along each branch."""
     s = _Searcher(n, config)
-    universe = s.edges
-    star = [0] * n
-    for i, e in enumerate(universe):
-        for v in e:
-            star[v] |= 1 << i
-    span = {e: sum(1 << v for v in e) for e in universe}
+    universe, star, span = s.edges, s.star, s.spans
 
     # visit recurses through its argument: no closure refers to itself
     def visit(again, mask: int, edges: tuple, scan: Optional[Scan],

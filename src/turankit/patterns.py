@@ -427,14 +427,9 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
             coef //= factorial(m)
         coefs.append((float(coef), mult))
 
-    def value_grad(xs):
-        val = 0.0
+    def gradient(xs):
         grad = [0.0] * p.k
         for coef, mult in coefs:
-            term = coef
-            for i in range(p.k):
-                term *= xs[i] ** mult[i]
-            val += term
             for i in range(p.k):
                 if mult[i] > 0:
                     g = coef * mult[i] * xs[i] ** (mult[i] - 1)
@@ -442,7 +437,7 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
                         if j != i:
                             g *= xs[j] ** mult[j]
                     grad[i] += g
-        return val, grad
+        return grad
 
     rng = Random(rng_seed)
     starts = [[1.0 / p.k] * p.k]
@@ -458,7 +453,7 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     for xs in starts:
         xs = list(xs)
         for _ in range(10_000):
-            val, grad = value_grad(xs)
+            grad = gradient(xs)
             denom = sum(x * g for x, g in zip(xs, grad))
             if denom <= 0.0:
                 break

@@ -29,9 +29,11 @@ relation on the vertices, so the group is the product of the symmetric
 groups on its classes, and the orbit of e is every r-set meeting each
 class in as many vertices as e does.  Each node carries per-vertex link
 bitsets of (g, frozen), so a twin test is one masked comparison and an
-orbit a few star-mask operations; the tables behind them are built by
-the first `run`, so searchers that only test feasibility never pay for
-them.
+orbit a few star-mask operations; the link tables behind them are built
+by the first `run`, so searchers that only test feasibility never pay
+for them.  The r-set tables they read are the searcher's own: a
+`_Searcher` builds its universe once, and the copy tables, the orbits
+and `genfree`'s canonical augmentation share it.
 
 Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
@@ -41,7 +43,7 @@ precomputed once, from `matching._embeddings` (the link-bitset
 enumerator, handed K_n's edge index as its host), and numbered in one
 bit space, so that sets of copies are integers (at most C(n, r) <=
 `_MAX_EDGES` edges and the enumerator's `matching._MAX_COPIES` copies
-per family).  A copy's edge mask is read from a map of each r-set's
+per family).  A copy's edge mask is read from one map of each r-set's
 vertex bitmask to its edge index, so no image edge is sorted.  Per edge
 the table holds the copies that use it, per copy the copies that share a
 vertex with it; a copy's vertices are the image of all v(F) vertices, so
@@ -179,9 +181,10 @@ class TuranRecord:
 
 
 class _Searcher:
-    """Shared machinery for one (config, n) instance: the lex-ordered
-    universe of every r-set, per-family copy tables, and the freezing
-    search."""
+    """Shared machinery for one (config, n) instance: the r-set universe
+    (`edges`, every r-set in lex order; `index`, its positions; `spans`,
+    each r-set's vertex bitset; `star`, per vertex the bitset of the
+    r-sets at it), per-family copy tables, and the freezing search."""
 
     def __init__(self, n: int, config: ForbiddenConfig):
         self.n = n
@@ -192,10 +195,16 @@ class _Searcher:
                                       f"budget of {_MAX_EDGES}")
         self.edges = list(combinations(range(n), self.r))
         self.index = {e: i for i, e in enumerate(self.edges)}
+        self.spans = {e: sum(1 << v for v in e) for e in self.edges}
+        self.star = [0] * n
+        for i, e in enumerate(self.edges):
+            for v in e:
+                self.star[v] |= 1 << i
         self.full = (1 << len(self.edges)) - 1
+        at = {m: i for i, m in enumerate(self.spans.values())}
         self.fams = []  # (copies, demand); copy = (edge mask, vertex mask)
         for f, t in config.families:
-            self.fams.append((self._copies(f), t))
+            self.fams.append((self._copies(f, at), t))
         # One bit space over the copies of all families, in family order:
         # kill[e] = the copies using edge e, used = the edges some copy
         # uses, and `pack` finds realizations in it (`matching._pack`).
@@ -214,14 +223,13 @@ class _Searcher:
         self.limit_hit = False
         self.skipped_upper = -1
 
-    def _copies(self, f: Hypergraph):
+    def _copies(self, f: Hypergraph, at: dict):
         """Every copy of f on n vertices, one (edge mask, vertex mask)
         each, sorted by edge bits then vertex mask for determinism.  The
         vertex mask is the image of all v(f) vertices, isolated ones
         included; `_embeddings` yields each copy once."""
-        # distinct edges and vertices of f have distinct images, so a
-        # sum of vertex bits is the image's vertex mask
-        at = {sum(1 << v for v in e): i for e, i in self.index.items()}
+        # distinct edges and vertices of f have distinct images, so a sum
+        # of vertex bits is the image's vertex mask, a key of `at`
         copies = []
         for mapping in _embeddings(f, self.n, self.index):
             b = [1 << w for w in mapping]
@@ -260,36 +268,29 @@ class _Searcher:
             self.n, self.r, tuple(self.edges[e] for e in _bits(mask)))
 
     def _orbit_tables(self):
-        """Tables for twin tests and edge orbits.
-        Per vertex v, star[v] = the edges containing v.  A link is an
-        (r-1)-set bitset carrying the g part in its low half and the
-        frozen part shifted up by `shift`; link_bits[e] = the (vertex,
-        link bit) pairs edge e adds, and avoid[u][v] = the (r-1)-sets
-        missing u and v, in both halves."""
+        """Tables for twin tests and edge orbits: the searcher's `star`,
+        then the link tables.  A link is an (r-1)-set bitset carrying the
+        g part in its low half and the frozen part shifted up by `shift`;
+        link_bits[e] = the (vertex, link bit) pairs edge e adds, and
+        avoid[u][v] = the (r-1)-sets missing u and v, in both halves."""
         n, r = self.n, self.r
         lsets = {t: i for i, t in enumerate(combinations(range(n), r - 1))}
         shift = len(lsets)
-        star = [0] * n
-        link_bits = []
-        for i, e in enumerate(self.edges):
-            pairs = []
-            for v in e:
-                star[v] |= 1 << i
-                pairs.append((v, 1 << lsets[tuple(w for w in e if w != v)]))
-            link_bits.append(tuple(pairs))
+        link_bits = [tuple((v, 1 << lsets[tuple(w for w in e if w != v)])
+                           for v in e) for e in self.edges]
         has = [sum(1 << i for t, i in lsets.items() if v in t)
                for v in range(n)]
         low = (1 << shift) - 1
         avoid = [[(low & ~(has[u] | has[v])) * (1 | 1 << shift)
                   for v in range(n)] for u in range(n)]
         root = [low & ~has[v] for v in range(n)]  # the links of K_n
-        return star, link_bits, avoid, shift, root
+        return self.star, link_bits, avoid, shift, root
 
     def orbit(self, e: int, links) -> int:
         """Edge mask of the orbit of edge e under the twin transpositions
         of (g, frozen), given their links: every r-set meeting each twin
         class in as many vertices as e does (module docstring)."""
-        star, _, avoid, _, _ = self.orbit_tables
+        star, avoid = self.star, self.orbit_tables[2]
         classes = []
         inside = 0  # vertices of e already placed in a class
         for a in self.edges[e]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from random import Random
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import Hypergraph, _class_key, complete, dumps_hg, join
 from .errors import BudgetExceededError
@@ -278,13 +278,15 @@ def check_remark_2k3(n: int, t: int) -> CheckReport:
                    observational=observational)
 
 
-def check_lemmas(n_max: int, tables: Sequence[TuranTable] = ()) -> CheckReport:
+def check_lemmas(n_max: int, tables: Iterable[TuranTable] = ()) -> CheckReport:
     """Exact arithmetic sweeps: the boundary-edge-count identity and its
     2m*C(n-m,r-1) bound; the binomial ratio bound against a rational
-    lower approximation of e; the average-degree drift bound on tables."""
-    t0 = time.perf_counter()
+    lower approximation of e; the average-degree drift bound on tables,
+    which are read only once n_max is valid (they may be lazy solves)."""
     if not 1 <= n_max <= 200:
         raise ValueError(f"lemmas needs 1 <= n_max <= 200, not {n_max}")
+    tables = list(tables)
+    t0 = time.perf_counter()
     violations = []
     for r in range(1, 6):
         for n in range(r, n_max + 1):
@@ -403,6 +405,8 @@ def check_rainbow(f: Hypergraph, n: int, t: int, trials: int,
     (t+1)-matching.  (b) sampled collections strictly above it must all
     have one; failures are hard and carry the serialized hosts."""
     t0 = time.perf_counter()
+    if trials < 0:
+        raise ValueError(f"rainbow needs trials >= 0, not {trials}")
     base_ext, threshold = _apex_prediction(f, n, t)
     violations = []
 

@@ -355,6 +355,27 @@ def test_verify_refuses_negative_parameters(capsys):
         assert code == 2 and text == "" and err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemmas", "--n-max", "-5", "--table", "k3.hg:3:8"],
+    ["verify", "lemmas", "--n-max", "5", "--table", "k3.hg:3:8",
+     "--table", "k3.hg:3:x"],
+    ["verify", "smoothness", "--family", "k3.hg:1", "--from", "3",
+     "--to", "9", "--g", "nonsense"],
+    ["verify", "rainbow", "--F", "k3.hg", "--n", "6", "--t", "1",
+     "--trials", "-3"],
+], ids=["lemmas", "lemmas-spec", "smoothness", "rainbow"])
+def test_refused_verify_solves_nothing(argv, files, capsys, monkeypatch,
+                                       tmp_path):
+    # a parameter the check refuses is refused before any solve, so the
+    # cache holds no record afterwards
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("TURANKIT_CACHE", str(cache))
+    argv = [x.replace("k3.hg", files["k3.hg"]) for x in argv]
+    code, text, err = invoke(argv, capsys)
+    assert code == 2 and text == "" and err.startswith("error:")
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_verify_smoothness_pass_and_fail(files, capsys):
     base = ["verify", "smoothness", "--family", files["k3.hg"] + ":1",
             "--from", "3", "--to", "8"]

@@ -868,6 +868,21 @@ def test_best_first_matches_the_descent(case, seeding, rnd):
     assert classes.nodes == want_classes.nodes - want.nodes
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_searcher_owns_star_and_spans(r):
+    # the one r-set universe: the vertex bitset of each r-set, and per
+    # vertex the bitset of the r-sets at it, over the lex-ordered r-sets
+    for n in range(r, 9):
+        s = _Searcher(n, config_of([(complete(r, r), 1)]))
+        universe = list(combinations(range(n), r))
+        assert s.edges == universe
+        assert s.spans == {e: sum(1 << v for v in e) for e in universe}
+        assert list(s.spans) == universe
+        assert s.star == [sum(1 << i for i, e in enumerate(universe)
+                              if v in e) for v in range(n)]
+        assert s._orbit_tables()[0] is s.star
+
+
 def links_of(s, g, frozen):
     """The links `orbit` reads, built from scratch for (g, frozen)."""
     _, link_bits, _, shift, _ = s.orbit_tables

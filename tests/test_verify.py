@@ -345,6 +345,16 @@ def test_rainbow_checks_apex_count_before_solving(monkeypatch):
         check_rainbow(K3, 7, -1, 0, 0)
 
 
+def test_rainbow_refuses_negative_trials(monkeypatch):
+    # no number of trials below zero is run, so it is no pass
+    def no_solve(*args):
+        raise AssertionError("solved before validating trials")
+
+    monkeypatch.setattr(solver, "_solve", no_solve)
+    with pytest.raises(ValueError, match="trials >= 0, not -3"):
+        check_rainbow(K3, 6, 1, -3, 0)
+
+
 def test_rainbow_deterministic():
     a = check_rainbow(K3, 9, 1, trials=3, rng_seed=11).to_json()
     b = check_rainbow(K3, 9, 1, trials=3, rng_seed=11).to_json()
