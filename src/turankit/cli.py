@@ -26,7 +26,7 @@ from .core import Hypergraph, are_isomorphic, canonical_form, dump_hg, dumps_hg,
 from .errors import BudgetExceededError, IndeterminateBracketsError, TurankitError
 from .matching import embed, matching_number, rainbow_matching
 from .patterns import load_pat
-from .solver import config_of, enumerate_extremal, ex_table, max_edges
+from .solver import _check_range, config_of, enumerate_extremal, ex_table, max_edges
 from .verify import BoundsParams, known_density, parse_growth
 
 
@@ -268,7 +268,11 @@ def _cmd_verify_lemmas(args):
     for spec_text in args.table or ():
         path, lo, hi = spec_text.rsplit(":", 2)
         specs.append((_family_config(path), int(lo), int(hi)))
-    # solved lazily: `check_lemmas` validates n_max before it reads a table
+    # every range is refused before the first table is solved, and the
+    # tables are solved lazily: `check_lemmas` validates n_max before it
+    # reads one
+    for _, lo, hi in specs:
+        _check_range(lo, hi)
     tables = (ex_table(*spec) for spec in specs)
     return _report_result(verify.check_lemmas(args.n_max, tables=tables))
 

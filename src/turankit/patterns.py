@@ -23,6 +23,9 @@ smaller patterns: the profiles restricted to the open parts, one pattern
 per restricted size.  Their rows lambda_0..lambda_n come from the same
 search, recursively.  Counts only grow with a part's size and rows with
 their total, so one comparison bounds a whole run of one part's sizes.
+Each search reads its binomials off one Pascal table built for its n,
+and each row entry's floor (the best one-vertex extension of the entry
+before) costs one pass over the profiles, not one count per part.
 One process-wide memo keeps each pattern's row,
 every entry with its lexicographically largest maximizer, and extends a
 row when a longer one is asked for; `lambda_n` reads its answer off the
@@ -38,7 +41,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Optional, Sequence
 
 from random import Random
@@ -139,6 +142,8 @@ def _check_lambda_budget(k: int, n: int) -> None:
 def lambda_n(p: Pattern, n: int) -> tuple[int, Composition]:
     """Exact maximum blowup count over all compositions of n, with the
     lexicographically largest maximizer."""
+    if type(n) is not int:
+        raise ValueError("n must be an int")
     _check_lambda_budget(p.k, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -176,15 +181,28 @@ class _BlowupSearch:
     The node at part i - 1 evaluates that bound for its children, a run
     of sizes at a time (see `walk`), and cuts a run only when no child in
     it can beat the incumbent; sizes are still walked largest first, so
-    the answers are those of a walk that bounds each size alone."""
+    the answers are those of a walk that bounds each size alone.
+
+    Every binomial the search reads is C(x, m) with m at most the profile
+    size and x at most n, so it builds the Pascal table binom[m][x] once
+    and hands the walk each multiplicity's column: C(s, m) is col[s]."""
 
     def __init__(self, k: int, multisets, n: int):
         self.k, self.n = k, n
         self.sizes = [0] * k
         # bounds evaluated by `walk`, one per run of sizes
         self.tried = 0
-        self.mults = [tuple(y.count(part) for part in range(1, k + 1))
-                      for y in multisets]
+        binom = [[1] * (n + 1)]
+        for _ in multisets[0]:
+            prev, col = binom[-1], [0] * (n + 1)
+            for x in range(1, n + 1):
+                col[x] = col[x - 1] + prev[x - 1]
+            binom.append(col)
+        # per profile, (part index, column of its multiplicity) for each
+        # part the profile holds; the other parts contribute C(x, 0) = 1
+        self.profiles = [[(i, binom[y.count(i + 1)])
+                          for i in range(k) if i + 1 in y]
+                         for y in multisets]
 
         # Symmetry breaking: if swapping parts i < j maps the profile set
         # onto itself, swapping c_i and c_j keeps the count, so the
@@ -219,16 +237,17 @@ class _BlowupSearch:
         zs = [sorted(set(tuple(x - i for x in y if x > i) for y in multisets),
                      key=lambda z: (len(z), z)) for i in range(k)]
         self.width = len(zs[0])
-        # steps[i]: per z at part i, its multiplicity of part i and the
-        # index of its restriction at part i + 1
+        # steps[i]: per z at part i, the column of its multiplicity of
+        # part i and the index of its restriction at part i + 1
         self.steps: list = []
         for i in range(k - 1):
             index = {z: t for t, z in enumerate(zs[i + 1])}
             self.steps.append((
-                [z.count(1) for z in zs[i]],
+                [binom[z.count(1)] for z in zs[i]],
                 [index[tuple(x - 1 for x in z if x > 1)] for z in zs[i]],
                 len(zs[i + 1])))
-        self.last = [len(z) for z in zs[k - 1]]
+        # per z at the last part, the column of its size
+        self.last = [binom[len(z)] for z in zs[k - 1]]
         # bounds[i]: per size d, the row of Z_{i,d} and its slice of W
         self.bounds: list = [None] * k
         for i in range(1, k - 1):
@@ -240,21 +259,32 @@ class _BlowupSearch:
                  ts[0], ts[-1] + 1)
                 for ts in by_d.values()]
 
-    def count(self, c: Sequence[int]) -> int:
+    def max_extension(self, c: Sequence[int]) -> int:
+        """max_j of the count at c plus one vertex in part j, for a
+        composition c of less than n.  A profile without part j keeps its
+        product; one with it trades that part's factor, and the product
+        of its other factors is a prefix times a suffix."""
         total = 0
-        for mult in self.mults:
-            term = 1
-            for size, m in zip(c, mult):
-                term *= comb(size, m)
-            total += term
-        return total
+        gain = [0] * self.k
+        for pairs in self.profiles:
+            prefix = [1]
+            for part, col in pairs:
+                prefix.append(prefix[-1] * col[c[part]])
+            whole = prefix[-1]
+            total += whole
+            suffix = 1
+            for t in range(len(pairs) - 1, -1, -1):
+                part, col = pairs[t]
+                gain[part] += prefix[t] * suffix * col[c[part] + 1] - whole
+                suffix *= col[c[part]]
+        return total + max(gain)
 
     def best(self, total: int, floor: int) -> tuple[int, Composition]:
         """The maximum count over compositions of `total` and its
         lexicographically largest maximizer; `floor` must lie below the
         maximum, and only counts above it are kept."""
         if self.k == 1:
-            return sum(comb(total, m) for m in self.last), (total,)
+            return sum(col[total] for col in self.last), (total,)
         self.value, self.comp = floor, ()
         self.walk(0, total, [1] * self.width)
         return self.value, self.comp
@@ -268,9 +298,10 @@ class _BlowupSearch:
         beat the incumbent is cut and the next run is twice as long; a run
         that does is halved, down to one size, which is walked.  The
         caller has checked the entry bound, so a walk never prunes at
-        entry."""
+        entry.  Every binomial is read off a column of the search's
+        table, never recomputed."""
         sizes = self.sizes
-        mults, targets, width = self.steps[i]
+        cols, targets, width = self.steps[i]
         partner = self.partner[i]
         top = remaining if partner is None else min(remaining, sizes[partner])
         # the most vertices parts i+1.. can take under the caps is
@@ -286,14 +317,14 @@ class _BlowupSearch:
         s, length = top, 1
         while s >= low:
             nxt = [0] * width
-            for w, m, t in zip(weights, mults, targets):
-                nxt[t] += w * comb(s, m)
+            for w, col, t in zip(weights, cols, targets):
+                nxt[t] += w * col[s]
             while True:
                 tried += 1
                 a = max(low, s - length + 1)
                 rest = remaining - a
                 if leaf:
-                    bound = sum(w * comb(rest, m) for w, m in zip(nxt, last))
+                    bound = sum(w * col[rest] for w, col in zip(nxt, last))
                 else:
                     bound = 0
                     for row, lo, hi in bounds:
@@ -323,9 +354,11 @@ def _row(k: int, multisets, n: int) -> tuple[list[int], list[Composition]]:
     lexicographically largest maximizers, read from the process-wide
     memo; a row there with fewer entries is extended in place (the
     caller holds `_ROWS_LOCK`).  Entry R starts from the
-    best one-vertex extension of entry R - 1's maximizer: the walk keeps
-    only counts above that extension's count minus one, which the maximum
-    reaches, and so returns the same maximizer as an unseeded walk."""
+    best one-vertex extension of entry R - 1's maximizer, found by
+    `_BlowupSearch.max_extension` in one pass over the profiles: the walk
+    keeps only counts above that extension's count minus one, which the
+    maximum reaches, and so returns the same maximizer as an unseeded
+    walk."""
     key = (k, multisets)
     row = _ROWS.get(key)
     if row is not None and len(row[0]) > n:
@@ -353,11 +386,7 @@ def _row(k: int, multisets, n: int) -> tuple[list[int], list[Composition]]:
             value = total if multisets[0] else 1
             comp = (0,) * part + (total,) + (0,) * (k - 1 - part)
         else:
-            floor = -1
-            if total:
-                c = comps[-1]
-                floor = max(search.count(c[:j] + (c[j] + 1,) + c[j + 1:])
-                            for j in range(k)) - 1
+            floor = search.max_extension(comps[-1]) - 1 if total else -1
             value, comp = search.best(total, floor)
         comps.append(comp)
         values.append(value)
@@ -365,20 +394,30 @@ def _row(k: int, multisets, n: int) -> tuple[list[int], list[Composition]]:
 
 
 def density_poly_eval(p: Pattern, x: Sequence[Fraction]) -> Fraction:
-    """Exact value of the density polynomial at a simplex point."""
+    """Exact value of the density polynomial at a simplex point.  Over
+    the common denominator d of x, x_i = a_i / d and each term has degree
+    r, so p(x) is an integer sum over d^r."""
     x = tuple(Fraction(v) for v in x)
     if len(x) != p.k or any(v < 0 for v in x) or (p.k and sum(x) != 1):
         raise ValueError("x must be k nonnegative rationals summing to 1")
-    total = Fraction(0)
+    den = lcm(*(v.denominator for v in x))
+    a = [v.numerator * (den // v.denominator) for v in x]
+    total = 0
     for y in p.multisets:
-        mult = p.multiplicities(y)
-        coef = factorial(p.r)
-        term = Fraction(1)
-        for i in range(p.k):
-            coef //= factorial(mult[i])
-            term *= x[i] ** mult[i]
-        total += coef * term
-    return total
+        term = _coefficient(p, y)
+        for part in y:
+            term *= a[part - 1]
+        total += term
+    return Fraction(total, den ** p.r)
+
+
+def _coefficient(p: Pattern, y: tuple[int, ...]) -> int:
+    """r!/prod_i mult_y(i)!, the coefficient of the profile y in the
+    density polynomial."""
+    coef = factorial(p.r)
+    for m in p.multiplicities(y):
+        coef //= factorial(m)
+    return coef
 
 
 @dataclass(frozen=True)
@@ -409,6 +448,8 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     ascent (uniform, each vertex, two seeded random starts), exact
     re-evaluation at rational snaps for the lower bound, and the
     nonincreasing finite ratio lambda_n(p, N)/C(N, r) as upper bound."""
+    if type(N) is not int:
+        raise ValueError("bracket size N must be an int")
     if N < p.r:
         raise ValueError("bracket size N must be at least the uniformity")
     if tol <= 0:
@@ -419,26 +460,7 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     # the bound needs lambda_n(p, N): refuse before the ascent
     _check_lambda_budget(p.k, N)
 
-    coefs = []
-    for y in p.multisets:
-        mult = p.multiplicities(y)
-        coef = factorial(p.r)
-        for m in mult:
-            coef //= factorial(m)
-        coefs.append((float(coef), mult))
-
-    def gradient(xs):
-        grad = [0.0] * p.k
-        for coef, mult in coefs:
-            for i in range(p.k):
-                if mult[i] > 0:
-                    g = coef * mult[i] * xs[i] ** (mult[i] - 1)
-                    for j in range(p.k):
-                        if j != i:
-                            g *= xs[j] ** mult[j]
-                    grad[i] += g
-        return grad
-
+    terms = _gradient_terms(p)
     rng = Random(rng_seed)
     starts = [[1.0 / p.k] * p.k]
     for i in range(p.k):
@@ -453,7 +475,7 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     for xs in starts:
         xs = list(xs)
         for _ in range(10_000):
-            grad = gradient(xs)
+            grad = _gradient(p.k, terms, xs)
             denom = sum(x * g for x, g in zip(xs, grad))
             if denom <= 0.0:
                 break
@@ -468,6 +490,29 @@ def lagrangian(p: Pattern, tol: Fraction = Fraction(1, 10 ** 9),
     lower, witness = max(candidates, key=lambda t: (t[0], [-v for v in t[1]]))
     upper = Fraction(lambda_n(p, N)[0], comb(N, p.r))
     return LagrangianEstimate(lower, upper, witness, N)
+
+
+def _gradient_terms(p: Pattern) -> list:
+    """Per profile, its coefficient as a float and its (part index,
+    multiplicity) pairs for the parts it holds, in order."""
+    return [(float(_coefficient(p, y)),
+             [(i, m) for i, m in enumerate(p.multiplicities(y)) if m])
+            for y in p.multisets]
+
+
+def _gradient(k: int, terms, xs: Sequence[float]) -> list[float]:
+    """The gradient of the density polynomial at xs.  A part a profile
+    lacks would contribute the factor x ** 0 == 1.0, and multiplying by
+    1.0 is exact, so skipping those parts changes no bit of the result."""
+    grad = [0.0] * k
+    for coef, pairs in terms:
+        for i, m in pairs:
+            g = coef * m * xs[i] ** (m - 1)
+            for j, mj in pairs:
+                if j != i:
+                    g *= xs[j] ** mj
+            grad[i] += g
+    return grad
 
 
 def _uniform(k: int) -> tuple[Fraction, ...]:

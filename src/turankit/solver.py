@@ -579,15 +579,20 @@ class TuranTable:
         return Fraction(self.config.r * self.value(n), n)
 
 
+def _check_range(n_lo: int, n_hi: int) -> None:
+    """Refuse a table range `ex_table` cannot solve, before any solve."""
+    if n_lo > n_hi:
+        raise ValueError("empty range")
+    if n_lo < 1:
+        raise ValueError(f"table ranges start at n >= 1, not {n_lo}")
+
+
 def ex_table(config: ForbiddenConfig, n_lo: int, n_hi: int, *,
              cache_dir=None, node_limit: Optional[int] = None) -> TuranTable:
     """Solve a contiguous n-range, seeding each instance with the
     previous extremal graph plus an isolated vertex (validated, so a
     useless seed is simply dropped)."""
-    if n_lo > n_hi:
-        raise ValueError("empty range")
-    if n_lo < 1:
-        raise ValueError(f"table ranges start at n >= 1, not {n_lo}")
+    _check_range(n_lo, n_hi)
     records = []
     prev: Optional[Hypergraph] = None
     for n in range(n_lo, n_hi + 1):

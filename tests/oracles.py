@@ -11,15 +11,18 @@ helpers, and keep their own vertex-profile invariant; the scan reference
 shares only the orbit oracle; the lex-min labeling reference shares the
 phase-1 scan and the orbit oracle; the freezing-search reference shares
 the solver's copy tables and realization kernel; the per-size blowup
-walk shares the blowup search's tables and memo.  Budgets: n <= 7 for
+walk shares the blowup search's tables and memo.  The row floor, the
+dense Lagrangian gradient and the `Fraction` polynomial are the kernels
+`patterns` replaced, kept whole.  Budgets: n <= 7 for
 relabeling scans, small edge counts for packing enumeration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 from typing import Iterator, Optional, Sequence
 
 from turankit.canon import Edge, Scan, refinement_scan
@@ -1199,15 +1202,16 @@ def reference_lambda_n(p, n: int) -> tuple:
 def reference_size_walk(search, i: int, remaining: int, weights) -> None:
     """`patterns._BlowupSearch.walk` before run bounds: each size of part i
     is tried on its own, and each child checks its own entry bound.  It
-    shares the search's tables (caps, restrictions, sub-pattern rows) and
+    shares the search's tables (caps, restrictions, binomial columns,
+    sub-pattern rows) and
     counts in `search.tried` the sizes it builds a child for.  As the
     `walk` of `ReferenceSizeSearch` it stands in for the search inside
     `patterns._row`, so whole memo rows can be compared."""
     sizes = search.sizes
     if i == search.k - 1:
         sizes[i] = remaining
-        value = sum(w * comb(remaining, m)
-                    for w, m in zip(weights, search.last))
+        value = sum(w * col[remaining]
+                    for w, col in zip(weights, search.last))
         if value > search.value:
             search.value = value
             search.comp = tuple(sizes)
@@ -1218,7 +1222,7 @@ def reference_size_walk(search, i: int, remaining: int, weights) -> None:
             bound += row[remaining] * max(weights[lo:hi])
         if bound <= search.value:
             return
-    mults, targets, width = search.steps[i]
+    cols, targets, width = search.steps[i]
     partner = search.partner[i]
     top = remaining if partner is None else min(remaining, sizes[partner])
     free, per = search.later[i]
@@ -1230,8 +1234,8 @@ def reference_size_walk(search, i: int, remaining: int, weights) -> None:
             break
         search.tried += 1
         nxt = [0] * width
-        for w, m, t in zip(weights, mults, targets):
-            nxt[t] += w * comb(s, m)
+        for w, col, t in zip(weights, cols, targets):
+            nxt[t] += w * col[s]
         search.walk(i + 1, remaining - s, nxt)
 
 
@@ -1243,3 +1247,59 @@ class ReferenceSizeSearch(_BlowupSearch):
         self.value, self.comp = floor, ()
         self.walk(0, total, [1] * self.width)
         return self.value, self.comp
+
+
+def reference_row_floor(k: int, multisets, c: Sequence[int]) -> int:
+    """The count `patterns._row` floors entry |c| + 1 on, before
+    `_BlowupSearch.max_extension`: the largest of the k full counts at c
+    plus one vertex in part j, each a product of `math.comb` over every
+    profile and part."""
+    def count(sizes):
+        total = 0
+        for y in multisets:
+            term = 1
+            for part, size in enumerate(sizes, 1):
+                term *= comb(size, y.count(part))
+            total += term
+        return total
+
+    return max(count(tuple(c[:j]) + (c[j] + 1,) + tuple(c[j + 1:]))
+               for j in range(k))
+
+
+def reference_gradient(p, xs: Sequence[float]) -> list:
+    """The ascent's gradient before it skipped absent parts: every profile
+    and every part, multiplying by x ** 0 where a profile lacks one."""
+    coefs = []
+    for y in p.multisets:
+        mult = p.multiplicities(y)
+        coef = factorial(p.r)
+        for m in mult:
+            coef //= factorial(m)
+        coefs.append((float(coef), mult))
+    grad = [0.0] * p.k
+    for coef, mult in coefs:
+        for i in range(p.k):
+            if mult[i] > 0:
+                g = coef * mult[i] * xs[i] ** (mult[i] - 1)
+                for j in range(p.k):
+                    if j != i:
+                        g *= xs[j] ** mult[j]
+                grad[i] += g
+    return grad
+
+
+def reference_poly_eval(p, x: Sequence) -> Fraction:
+    """`patterns.density_poly_eval` before integer sums: one `Fraction`
+    product and sum per term, on a point the caller has validated."""
+    x = tuple(Fraction(v) for v in x)
+    total = Fraction(0)
+    for y in p.multisets:
+        mult = p.multiplicities(y)
+        coef = factorial(p.r)
+        term = Fraction(1)
+        for i in range(p.k):
+            coef //= factorial(mult[i])
+            term *= x[i] ** mult[i]
+        total += coef * term
+    return total

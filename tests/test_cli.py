@@ -363,7 +363,12 @@ def test_verify_refuses_negative_parameters(capsys):
      "--to", "9", "--g", "nonsense"],
     ["verify", "rainbow", "--F", "k3.hg", "--n", "6", "--t", "1",
      "--trials", "-3"],
-], ids=["lemmas", "lemmas-spec", "smoothness", "rainbow"])
+    ["verify", "lemmas", "--n-max", "5", "--table", "k3.hg:3:8",
+     "--table", "k3.hg:8:3"],
+    ["verify", "lemmas", "--n-max", "5", "--table", "k3.hg:3:8",
+     "--table", "k3.hg:0:3"],
+], ids=["lemmas", "lemmas-spec", "smoothness", "rainbow",
+        "lemmas-later-empty-range", "lemmas-later-range-from-0"])
 def test_refused_verify_solves_nothing(argv, files, capsys, monkeypatch,
                                        tmp_path):
     # a parameter the check refuses is refused before any solve, so the

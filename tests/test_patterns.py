@@ -5,7 +5,9 @@ sets, exhaustive composition enumeration for the finite maxima, and
 closed-form densities at known optima.  `lambda_n` is also checked
 against its pre-symmetry-breaking walk kept in `oracles`, which prunes
 with per-profile suffix maxima instead of exact sub-pattern rows, and
-against the per-size walk that preceded run bounds, row for row.
+against the per-size walk that preceded run bounds, row for row.  The
+row floors, the ascent's gradient and the density polynomial are checked,
+exactly, against the kernels they replaced, kept in `oracles`.
 """
 
 import gc
@@ -18,7 +20,10 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import ReferenceSizeSearch, reference_lambda_n
+from oracles import (
+    ReferenceSizeSearch, reference_gradient, reference_lambda_n,
+    reference_poly_eval, reference_row_floor,
+)
 
 from turankit.core import Hypergraph, complete, empty
 from turankit.errors import BudgetExceededError, FormatError
@@ -252,6 +257,124 @@ def test_density_poly_examples():
         density_poly_eval(MANTEL, (half, half, Fraction(0)))
     with pytest.raises(ValueError):
         density_poly_eval(MANTEL, (Fraction(2, 3), Fraction(2, 3)))
+
+
+@st.composite
+def simplex_points(draw, k):
+    """k nonnegative rationals summing to 1, with denominators that
+    differ from coordinate to coordinate, zeros and vertices included."""
+    raw = draw(st.lists(st.fractions(min_value=0, max_value=5,
+                                     max_denominator=40),
+                        min_size=k, max_size=k))
+    if not any(raw):
+        raw[draw(st.integers(min_value=0, max_value=k - 1))] = Fraction(1)
+    return tuple(v / sum(raw) for v in raw)
+
+
+@st.composite
+def patterns_at_points(draw):
+    p = draw(small_patterns())
+    return p, draw(simplex_points(p.k))
+
+
+@example((all_profiles(3, 3), (Fraction(1, 7), Fraction(5, 11),
+                                Fraction(31, 77))))
+@example((S3, (Fraction(1), Fraction(0))))
+@settings(max_examples=200)
+@given(patterns_at_points())
+def test_poly_eval_matches_the_fraction_loop(case):
+    # one integer sum over the common denominator, against one `Fraction`
+    # product and sum per term
+    p, x = case
+    got = density_poly_eval(p, x)
+    assert type(got) is Fraction
+    assert got == reference_poly_eval(p, x)
+
+
+@st.composite
+def ascent_points(draw):
+    """A pattern and float points where its ascent can be: uniform, each
+    vertex, and a random point with some coordinates exactly zero."""
+    p = draw(small_patterns())
+    raw = draw(st.lists(st.one_of(st.just(0.0),
+                                  st.floats(min_value=1e-9, max_value=1.0)),
+                        min_size=p.k, max_size=p.k))
+    points = [[1.0 / p.k] * p.k]
+    points += [[1.0 if j == i else 0.0 for j in range(p.k)]
+               for i in range(p.k)]
+    if sum(raw) > 0:
+        points.append([v / sum(raw) for v in raw])
+    return p, points
+
+
+@example((all_profiles(3, 3), [[0.5, 0.0, 0.5], [0.25, 0.25, 0.5]]))
+@settings(max_examples=200)
+@given(ascent_points())
+def test_sparse_gradient_matches_the_dense_loop(case):
+    # bit for bit, so every ascent iterate and snapped witness is too
+    p, points = case
+    terms = patterns._gradient_terms(p)
+    for xs in points:
+        got = patterns._gradient(p.k, terms, xs)
+        want = reference_gradient(p, xs)
+        assert got == want
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_lagrangian_pinned_bracket():
+    # the witness is the snap of where the ascent stopped, so it pins the
+    # float iterates as well as the bracket
+    est = lagrangian(Pattern(3, 3, ((1, 1, 2), (1, 2, 3), (2, 3, 3))), N=40)
+    assert est == LagrangianEstimate(
+        Fraction(4, 9), Fraction(351, 760),
+        (Fraction(65666, 252547), Fraction(1, 3), Fraction(308096, 757641)),
+        40)
+
+
+@st.composite
+def floor_cases(draw):
+    """A pattern the blowup search runs on, a size n and a composition
+    of less than n, where `_row` reads a floor."""
+    p = draw(small_patterns(max_k=5, min_r=2).filter(lambda p: p.multisets))
+    n = draw(st.integers(min_value=1, max_value=30))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                min_size=p.k - 1, max_size=p.k - 1)))
+    total = draw(st.integers(min_value=max(cuts, default=0),
+                             max_value=n - 1))
+    bounds = [0] + cuts + [total]
+    return p, n, tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@example((kl_pattern(4), 9, (0, 0, 0, 8)))
+@example((all_profiles(3, 3, (1, 1, 1)), 12, (4, 0, 7)))
+@settings(max_examples=200, deadline=None)
+@given(floor_cases())
+def test_row_floor_matches_the_full_counts(case):
+    # one pass over the profiles, against the largest of k full counts
+    p, n, c = case
+    search = patterns._BlowupSearch(p.k, p.multisets, n)
+    assert search.max_extension(c) == reference_row_floor(p.k, p.multisets, c)
+    patterns._ROWS.clear()
+
+
+def test_wrong_types_are_refused_before_any_work(monkeypatch):
+    # a float or bool size is refused before the ascent or the search runs
+    made = searches_made(monkeypatch, patterns._BlowupSearch)
+    steps = []
+    gradient = patterns._gradient
+    monkeypatch.setattr(patterns, "_gradient",
+                        lambda *args: steps.append(args) or gradient(*args))
+    patterns._ROWS.clear()
+    for call in (lambda: lagrangian(S3, N=10.5),
+                 lambda: lagrangian(S3, N=True),
+                 lambda: is_minimal(S3, N=10.5),
+                 lambda: is_minimal(S3, N=False),
+                 lambda: lambda_n(S3, True),
+                 lambda: lambda_n(S3, 12.0),
+                 lambda: lambda_n(Pattern(0, 2, ()), False)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
+    assert steps == [] and made == [] and not patterns._ROWS
 
 
 def test_density_ratio_nonincreasing():
