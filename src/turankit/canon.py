@@ -27,6 +27,18 @@ found in two phases:
     of its final tuple; the bound groups the undecided edges by that
     prefix K and completes a group of k edges with the k least K + S,
     S drawn from the labels still free, merged with the decided tuples.
+    Before the search, one greedy dive labels vertices by the search's own
+    key (the tuples a label completes), ties broken by larger degree and
+    then smaller index, and its sorted edge list H is an incumbent (branch
+    and bound with a heuristic incumbent, Land & Doig, Econometrica 1960):
+    H comes from a real labeling, so H >= the minimum.  While the best
+    leaf so far is above H, a subtree is cut only when its completion is
+    strictly above H; once best <= H, when it is >= best.  The output
+    cannot change: every ancestor of the first leaf (in search order) at
+    the minimum has a completion <= the minimum <= H and <= best, so that
+    leaf is still visited and still wins, and a phase-1 certificate that
+    already is the minimum still returns the phase-1 perm.  Only nodes
+    drop (the 2K3@9 witness K_1 + K_{4,4}: 87 -> 38).
 
 Both phases find orbits with a union-find that unites only the points a
 generator moves, one pair per point after a cycle's first (a twin swap
@@ -283,22 +295,64 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
         for v in e:
             incident_idx[v].append(i)
 
-    best: list[Edge] = list(seed_edges)
-    best_assign: Optional[tuple[int, ...]] = None
-
     label_of = [-1] * n   # old vertex -> label
     assign = [-1] * n     # label -> old vertex
     maxtuple = (n,) * r
 
+    def scored(j: int, known: list[Edge]) -> list[tuple[list[Edge], int, list[Edge]]]:
+        """(key, u, newly) for each unlabeled u: `newly` lists the final
+        tuples of the edges that label j on u completes, and the key is
+        `newly`, or [maxtuple] when u completes none.  Labels are placed in
+        increasing order, so known[i] + (j,) is edge i's final tuple once
+        u is its last vertex."""
+        out = []
+        for u in range(n):
+            if label_of[u] < 0:
+                newly = sorted(known[ei] + (j,) for ei in incident_idx[u]
+                               if len(known[ei]) == r - 1)
+                out.append((newly or [maxtuple], u, newly))
+        return out
+
+    def placed_with(u: int, j: int, known: list[Edge]) -> list[Edge]:
+        placed = list(known)
+        for ei in incident_idx[u]:
+            placed[ei] = known[ei] + (j,)
+        return placed
+
+    # the incumbent H: one greedy dive that takes the least key, then the
+    # larger degree, then the smaller index.  H is a real relabeling, so
+    # H >= the minimum
+    dive: list[Edge] = [()] * m
+    j = 0
+    while any(len(t) < r for t in dive):
+        _, u, _ = min(scored(j, dive),
+                      key=lambda t: (t[0], -len(incident_idx[t[1]]), t[1]))
+        dive = placed_with(u, j, dive)
+        label_of[u] = j
+        j += 1
+    label_of[:] = [-1] * n
+    incumbent = sorted(dive)
+
+    best: list[Edge] = list(seed_edges)
+    best_assign: Optional[tuple[int, ...]] = None
+    # while best > H a completion is cut only when strictly above H, so
+    # the first leaf at the minimum still wins (see the module docstring);
+    # once best <= H, when it is >= best
+    bar, cut_ties = (incumbent, False) if best > incumbent else (best, True)
+
     def improve(final: list[Edge], here: tuple[int, ...]) -> None:
-        nonlocal best, best_assign
+        nonlocal best, best_assign, bar, cut_ties
         if final < best:
             best = list(final)
             best_assign = here
+            if best <= incumbent:
+                bar, cut_ties = best, True
 
     def bound_beats_best(j: int, decided: list[Edge], known: list[Edge]) -> bool:
-        """True iff the optimistic completion of `decided` is >= best
-        (so the subtree cannot strictly improve and may be cut).  The k
+        """True iff the optimistic completion of `decided` is > bar, or
+        equals it while ties are cut, so the subtree may be cut: no leaf
+        in it strictly beats best (bar = best), or every leaf in it lies
+        above H >= the minimum (bar = H).  The k
         undecided edges with placed labels K end as k distinct tuples
         K + S with S drawn from labels j..n-1, so the i-th least of them
         is at least K + the i-th least such S."""
@@ -309,10 +363,10 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
         free = range(j, n)
         least = [map(placed.__add__, islice(combinations(free, r - len(placed)), k))
                  for placed, k in groups.items()]
-        for t, b in zip(merge(decided, *least), best):
+        for t, b in zip(merge(decided, *least), bar):
             if t != b:
                 return t > b
-        return True  # optimistic completion equals best exactly
+        return cut_ties  # the optimistic completion equals the bar exactly
 
     def search(j: int, decided: list[Edge], known: list[Edge],
                gens: list[Moved], oracle: Optional[_OrbitOracle]) -> None:
@@ -329,21 +383,13 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
             return
         if bound_beats_best(j, decided, known):
             return
-        scored = []
-        for u in range(n):
-            if label_of[u] >= 0:
-                continue
-            # labels are placed in increasing order, so known[i] + (j,)
-            # is edge i's final tuple once u is its last vertex
-            newly = sorted(known[ei] + (j,) for ei in incident_idx[u]
-                           if len(known[ei]) == r - 1)
-            scored.append((newly or [maxtuple], u, newly))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        if oracle is None and gens and len(scored) > 1:
+        candidates = scored(j, known)
+        candidates.sort(key=lambda t: (t[0], t[1]))
+        if oracle is None and gens and len(candidates) > 1:
             oracle = _OrbitOracle(n, 0)  # every one of `gens` fixes the base
             oracle.update(gens)
         tried: list[int] = []
-        for _, u, newly in scored:
+        for _, u, newly in candidates:
             if tried and oracle is not None and oracle.same(u, tried):
                 tried.append(u)
                 continue
@@ -354,11 +400,8 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
                 child = list(decided)
                 for t in newly:
                     insort(child, t)
-            placed = list(known)
-            for ei in incident_idx[u]:
-                placed[ei] = known[ei] + (j,)
             kept = [g for g in gens if not g[0] >> u & 1]
-            search(j + 1, child, placed, kept,
+            search(j + 1, child, placed_with(u, j, known), kept,
                    oracle if len(kept) == len(gens) else None)
             label_of[u] = -1
             assign[j] = -1

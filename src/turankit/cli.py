@@ -15,6 +15,7 @@ Environment: TURANKIT_CACHE (solver cache dir), TURANKIT_NODE_LIMIT
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -384,6 +385,9 @@ def _cmd_job(args):
 # ----------------------------------------------------------------- parser
 
 
+# built on the first `run`, not at import, and reused: parse_args leaves
+# the parser unchanged and gives each call a fresh namespace
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="turankit",

@@ -1,12 +1,13 @@
 """The phase-1 refinement scan: its generators generate the whole
 automorphism group, and its certificate is an isomorphism invariant.
 Its refinement splits any ordered partition as the tuple-code reference
-does.  Phase 2 returns the same labeling as its pooled-bound reference, and
-fast on inputs that bound pruned poorly.  Neither phase leaves garbage
-for the cyclic collector."""
+does.  Phase 2 returns the same labeling as its pooled-bound reference,
+fast on inputs that bound pruned poorly, and in pinned node counts.
+Neither phase leaves garbage for the cyclic collector."""
 
 import gc
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -197,11 +198,12 @@ def test_certificate_is_invariant_under_relabeling(g, rnd):
 
 
 @settings(max_examples=100)
-@given(st.sampled_from([2, 3, 4]), st.integers(0, 8), st.booleans(), st.data())
+@given(st.sampled_from([1, 2, 3, 4]), st.integers(0, 8), st.booleans(), st.data())
 def test_labeling_matches_reference(r, n, dense, data):
     # the same lex-min edges and the same permutation, so the same
     # config hashes, cache records and solver node counts; `dense` takes
-    # the complement, since drawn edge lists are short
+    # the complement, since drawn edge lists are short.  For r = 1 every
+    # edge is completed by its one vertex, so no edge has a placed prefix
     pool = list(combinations(range(n), r))
     drawn = set(data.draw(st.lists(st.sampled_from(pool), unique=True)
                           if pool else st.just([])))
@@ -209,10 +211,65 @@ def test_labeling_matches_reference(r, n, dense, data):
     assert canonical_labeling(n, edges) == reference_canonical_labeling(n, edges)
 
 
+# (graph, whether its phase-1 certificate is already the lex-min form).
+# The path 02 12, K_{3,4} and K_{3,4} plus a triangle on its larger side
+# are labeled as the solver stores them: the greedy dive's H is their
+# lex-min form, the certificate is not, so phase 2 must still return the
+# first leaf it reaches at the minimum and not the dive's.  K_1 + K_{4,4},
+# the 2K3@9 witness with the apex last, has neither at the minimum.  For
+# K_{3,3} both are; for K_{2,4} plus a 4-cycle on its larger side the
+# certificate is and H is not, so the phase-1 perm comes back
+INCUMBENT_CASES = [
+    (Hypergraph(3, 2, ((0, 2), (1, 2))), False),
+    (Hypergraph(7, 2, tuple((u, v) for u in range(3) for v in range(3, 7))),
+     False),
+    (Hypergraph(7, 2, tuple((u, v) for u in range(3) for v in range(3, 7))
+                + ((4, 5), (4, 6), (5, 6))), False),
+    (Hypergraph(9, 2, tuple((u, v) for u in range(4) for v in range(4, 8))
+                + tuple((v, 8) for v in range(8))), False),
+    (K33, True),
+    (Hypergraph(6, 2, tuple((u, v) for u in range(2) for v in range(2, 6))
+                + ((2, 4), (2, 5), (3, 4), (3, 5))), True),
+]
+
+
 def test_labeling_matches_reference_on_symmetric_graphs():
-    for g in SYMMETRIC:
+    for g in SYMMETRIC + [g for g, _ in INCUMBENT_CASES]:
         assert (canonical_labeling(g.n, g.edges)
                 == reference_canonical_labeling(g.n, g.edges))
+    for g, seed_is_min in INCUMBENT_CASES:
+        form = canonical_labeling(g.n, g.edges)
+        scan = refinement_scan(g.n, g.edges)
+        assert (scan.edges == form[1]) == seed_is_min
+        if seed_is_min:
+            assert form[0] == scan.perm
+
+
+def count_phase_two_nodes(g: Hypergraph) -> int:
+    """Calls of `canonical_labeling`'s recursive search while labeling g."""
+    search = next(c for c in canonical_labeling.__code__.co_consts
+                  if getattr(c, "co_name", None) == "search")
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is search:
+            calls.append(1)
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        canonical_labeling(g.n, g.edges)
+    finally:
+        sys.setprofile(outer)
+    return len(calls)
+
+
+def test_pinned_phase_two_node_count():
+    # the greedy incumbent H cuts subtrees above it before phase 2 finds
+    # a good leaf of its own: 87 nodes for K_1 + K_{4,4} and 8 for the
+    # path when phase 2 started from the phase-1 certificate alone
+    assert count_phase_two_nodes(INCUMBENT_CASES[3][0]) == 38
+    assert count_phase_two_nodes(INCUMBENT_CASES[0][0]) == 5
 
 
 def test_sparse_graph_on_high_labels_is_fast():

@@ -381,6 +381,35 @@ def test_refused_verify_solves_nothing(argv, files, capsys, monkeypatch,
     assert not cache.exists() or not any(cache.iterdir())
 
 
+def test_parser_is_built_once_and_keeps_no_state(files, capsys):
+    # one parser serves every `run` of the process; a refused `--table`
+    # (an append action) must not reach the next call's namespace
+    import turankit.cli as cli
+    parser = cli._build_parser()
+    bad = ["verify", "lemmas", "--n-max", "5", "--table",
+           files["k3.hg"] + ":8:3"]
+    for _ in range(2):
+        assert invoke(bad, capsys)[0] == 2
+        code, text, _ = invoke(["verify", "lemmas", "--n-max", "4", "--json"],
+                               capsys)
+        assert code == 0 and json.loads(text)["params"]["tables"] == "0"
+    assert cli._build_parser() is parser
+
+
+def test_parser_is_not_built_at_import():
+    # a process that imports the CLI without running it builds no parser
+    src_dir = str(Path(turankit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import turankit.cli as cli; "
+         "print(cli._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_verify_smoothness_pass_and_fail(files, capsys):
     base = ["verify", "smoothness", "--family", files["k3.hg"] + ":1",
             "--from", "3", "--to", "8"]
