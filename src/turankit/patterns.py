@@ -97,8 +97,8 @@ class Pattern:
 
 def _check_composition(p: Pattern, c: Sequence[int]) -> Composition:
     c = tuple(c)
-    if len(c) != p.k or any(x < 0 for x in c):
-        raise ValueError("composition must have k nonnegative parts")
+    if len(c) != p.k or any(type(x) is not int or x < 0 for x in c):
+        raise ValueError("composition must have k nonnegative int parts")
     return c
 
 

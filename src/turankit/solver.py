@@ -610,6 +610,8 @@ def pi_upper(config: ForbiddenConfig, n: int, *,
              cache_dir=None, node_limit: Optional[int] = None) -> Fraction:
     """ex(n, config)/C(n, r): a certified density upper bound, since the
     ratio is nonincreasing in n."""
+    if n < config.r:
+        raise ValueError(f"pi_upper needs n >= r = {config.r}")
     rec = _exact(max_edges(n, config, cache_dir=cache_dir,
                            node_limit=node_limit))
     return Fraction(rec.value, comb(n, config.r))

@@ -4,12 +4,16 @@ Every constructor returns a validated `Hypergraph` with a fixed, documented
 labeling, so repeated calls are identical and canonical-form tests are
 reproducible.  Conventions:
 
-* Two-part constructions place the first part on the lowest labels
-  (`V1 = {0, ..., a-1}`).
+* The part constructions are `patterns.blowup`s, parts on consecutive
+  labels and the first part lowest (`V1 = {0, ..., a-1}`): `turan` of
+  the l-part pattern of all r-subsets of the parts, the others of the
+  2-part pattern with i of an edge's vertices in part 1 for i in {1, 2}
+  (`bipartite3`), the odd i (`odd_bipartite`), {2} (`even_quad`) or {1}
+  (`semibipartite`).
 * Constructions that maximize over a part split (`even_quad`,
   `semibipartite`, `odd_bipartite` with `m=None`) pick the split with the
-  most edges; ties go to the more balanced split, then to the larger
-  first part.
+  most edges by `patterns.blowup_count`; ties go to the more balanced
+  split, then to the larger first part.
 * Expansions append their blocks of fresh vertices after the original
   vertices, one block per pair in lexicographic pair order.
 
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 from typing import Optional, Sequence
 
 from .core import Hypergraph, empty
+from .patterns import Pattern, blowup, blowup_count
 
 
 @dataclass(frozen=True)
@@ -39,39 +43,30 @@ class ZooSpec:
     payload: Optional[object] = None
 
 
-def _two_part_edges(n: int, a: int, r: int, keep) -> tuple:
-    """All r-sets e of {0..n-1} with keep(|e ∩ {0..a-1}|) true."""
-    return tuple(e for e in combinations(range(n), r)
-                 if keep(sum(1 for v in e if v < a)))
-
-
-def _best_split(n: int, count_at, candidates) -> int:
-    """Edge-maximizing first-part size; ties to balance, then larger part."""
-    def key(a):
-        return (count_at(a), -abs(2 * a - n), a)
-    return max(candidates, key=key)
+def _two_part(n: int, r: int, ones, splits) -> Hypergraph:
+    """The blowup of the 2-part pattern whose edges have i vertices in the
+    first part, for each i in `ones`, along the split (a, n - a) with a in
+    `splits` of most edges; ties to balance, then to the larger part."""
+    p = Pattern(2, r, tuple((1,) * i + (2,) * (r - i) for i in ones))
+    a = max(splits, key=lambda a: (blowup_count(p, (a, n - a)),
+                                   -abs(2 * a - n), a))
+    return blowup(p, (a, n - a))
 
 
 def turan(n: int, l: int, r: int) -> Hypergraph:
-    """Complete l-partite r-graph: balanced parts (larger parts first),
-    edges are the r-sets meeting every part at most once."""
+    """Complete l-partite r-graph: the blowup of the l-part pattern of all
+    r-subsets of the parts, balanced, larger parts first."""
     if n < 0 or l < 1 or r < 1:
         raise ValueError("turan requires n >= 0, l >= 1, r >= 1")
-    sizes = [n // l + (1 if i < n % l else 0) for i in range(l)]
-    part_of = []
-    for i, s in enumerate(sizes):
-        part_of.extend([i] * s)
-    edges = tuple(e for e in combinations(range(n), r)
-                  if len({part_of[v] for v in e}) == r)
-    return Hypergraph(n, r, edges)
+    p = Pattern(l, r, tuple(combinations(range(1, l + 1), r)))
+    return blowup(p, [n // l + (1 if i < n % l else 0) for i in range(l)])
 
 
 def bipartite3(n: int) -> Hypergraph:
     """Triples meeting both sides of a balanced split."""
     if n < 2:
         raise ValueError("bipartite3 requires n >= 2")
-    a = (n + 1) // 2
-    return Hypergraph(n, 3, _two_part_edges(n, a, 3, lambda k: 0 < k < 3))
+    return _two_part(n, 3, (1, 2), ((n + 1) // 2,))
 
 
 def odd_bipartite(n: int, r: int, m: Optional[int] = None) -> Hypergraph:
@@ -80,20 +75,10 @@ def odd_bipartite(n: int, r: int, m: Optional[int] = None) -> Hypergraph:
     edge-maximizing m in [0, ceil(n/2)] is used."""
     if r < 1 or n < 2 * r:
         raise ValueError("odd_bipartite requires r >= 1 and n >= 2r")
-    uniform = 2 * r
-
-    def count_at(a):
-        return sum(comb(a, i) * comb(n - a, uniform - i)
-                   for i in range(1, uniform + 1, 2))
-
-    if m is None:
-        lo = n // 2
-        a = _best_split(n, count_at, range(lo, n + 1))
-    else:
-        if not 0 <= m <= (n + 1) // 2:
-            raise ValueError("odd_bipartite requires 0 <= m <= ceil(n/2)")
-        a = n // 2 + m
-    return Hypergraph(n, uniform, _two_part_edges(n, a, uniform, lambda k: k % 2 == 1))
+    if m is not None and not 0 <= m <= (n + 1) // 2:
+        raise ValueError("odd_bipartite requires 0 <= m <= ceil(n/2)")
+    splits = range(n // 2, n + 1) if m is None else (n // 2 + m,)
+    return _two_part(n, 2 * r, range(1, 2 * r + 1, 2), splits)
 
 
 def even_quad(n: int) -> Hypergraph:
@@ -101,8 +86,7 @@ def even_quad(n: int) -> Hypergraph:
     edge-maximizing split."""
     if n < 4:
         raise ValueError("even_quad requires n >= 4")
-    a = _best_split(n, lambda a: comb(a, 2) * comb(n - a, 2), range(n + 1))
-    return Hypergraph(n, 4, _two_part_edges(n, a, 4, lambda k: k == 2))
+    return _two_part(n, 4, (2,), range(n + 1))
 
 
 def semibipartite(n: int, r: int) -> Hypergraph:
@@ -110,8 +94,7 @@ def semibipartite(n: int, r: int) -> Hypergraph:
     the first-part size."""
     if r < 2 or n < r:
         raise ValueError("semibipartite requires r >= 2 and n >= r")
-    a = _best_split(n, lambda a: a * comb(n - a, r - 1), range(n + 1))
-    return Hypergraph(n, r, _two_part_edges(n, a, r, lambda k: k == 1))
+    return _two_part(n, r, (1,), range(n + 1))
 
 
 def fano() -> Hypergraph:
@@ -243,25 +226,26 @@ def bgraph(r: int, l: int) -> Hypergraph:
     return Hypergraph(l + 1, r, tuple(sorted(edges)))
 
 
-# name -> (constructor, the spec.params keys it takes, in order); the
-# payload entries and odd_bipartite's optional m get their own lines in
-# `construct`
+# name -> (constructor, the spec.params keys it takes, in order; `m` may
+# be left out); _PAYLOADS names the first argument of its payload takers
 _CONSTRUCTORS = {
     "fano": (fano, ()), "f7": (f7, ()), "f43": (f43, ()), "f32": (f32, ()),
     "turan": (turan, ("n", "l", "r")),
-    "bipartite3": (bipartite3, ("n",)),
-    "odd_bipartite": (odd_bipartite, ("n", "r")),
-    "even_quad": (even_quad, ("n",)),
+    "bipartite3": (bipartite3, ("n",)), "even_quad": (even_quad, ("n",)),
+    "odd_bipartite": (odd_bipartite, ("n", "r", "m")),
     "semibipartite": (semibipartite, ("n", "r")),
     "gen_triangle": (gen_triangle, ("r",)),
     "expansion_complete": (lambda l, r: expansion_complete(l + 1, r),
                            ("l", "r")),
+    "expansion_of": (expansion_of, ()),
     "tree_expansion": (tree_expansion, ("r",)),
     "expanded_triangle": (expanded_triangle, ("r",)),
     "matching": (matching_graph, ("k", "r")),
     "sunflower": (sunflower, ("k", "r")),
     "bgraph": (bgraph, ("r", "l")),
 }
+_PAYLOADS = {"expansion_of": "a hypergraph",
+             "tree_expansion": "a tree edge-list"}
 
 
 def construct(spec: ZooSpec) -> Hypergraph:
@@ -270,24 +254,25 @@ def construct(spec: ZooSpec) -> Hypergraph:
     Integer parameters live in spec.params under their usual letters
     (n, l, r, m, k); `l` is the part/clique parameter, so
     expansion_complete uses l+1 original vertices and bgraph l+1 vertices
-    total.  Unknown names and missing/invalid parameters raise ValueError.
+    total.  Unknown names, parameters or a payload the construction does
+    not take, and missing/invalid parameters raise ValueError.
     """
-    if spec.name == "expansion_of":
-        if not isinstance(spec.payload, Hypergraph):
-            raise ValueError("expansion_of needs a hypergraph payload")
-        return expansion_of(spec.payload)
     if spec.name not in _CONSTRUCTORS:
         raise ValueError(f"unknown zoo name: {spec.name}")
     build, keys = _CONSTRUCTORS[spec.name]
-    missing = [k for k in keys if k not in spec.params]
+    unknown = [str(k) for k in spec.params if k not in keys]
+    if spec.payload is not None and spec.name not in _PAYLOADS:
+        unknown.append("payload")
+    if unknown:
+        raise ValueError(f"{spec.name} does not take: {', '.join(unknown)}")
+    missing = [k for k in keys if k not in spec.params and k != "m"]
     if missing:
         raise ValueError(f"{spec.name} needs parameters: {', '.join(missing)}")
-    args = [spec.params[k] for k in keys]
-    if spec.name == "odd_bipartite":
-        args.append(spec.params.get("m"))
-    if spec.name == "tree_expansion":
-        if spec.payload is None:
-            raise ValueError("tree_expansion needs a tree edge-list payload")
+    args = [spec.params.get(k) for k in keys]
+    if spec.name in _PAYLOADS:
+        if spec.payload is None or isinstance(spec.payload, Hypergraph) != (
+                spec.name == "expansion_of"):
+            raise ValueError(f"{spec.name} needs {_PAYLOADS[spec.name]} payload")
         args.insert(0, spec.payload)
     return build(*args)
 

@@ -58,6 +58,58 @@ def turan_graph(n: int, parts: int) -> Hypergraph:
     return Hypergraph(n, 2, tuple(edges))
 
 
+# -- zoo's part constructions as filters over all r-sets ---------------
+# (the builders `zoo` had before it blew up patterns: same labels, same
+# split rule, hand-written counts)
+
+
+def _two_part_edges(n: int, a: int, r: int, keep) -> tuple:
+    """All r-sets e of {0..n-1} with keep(|e ∩ {0..a-1}|) true."""
+    return tuple(e for e in combinations(range(n), r)
+                 if keep(sum(1 for v in e if v < a)))
+
+
+def _best_split(n: int, count_at, candidates) -> int:
+    """Edge-maximizing first-part size; ties to balance, then larger part."""
+    return max(candidates, key=lambda a: (count_at(a), -abs(2 * a - n), a))
+
+
+def reference_turan(n: int, l: int, r: int) -> Hypergraph:
+    sizes = [n // l + (1 if i < n % l else 0) for i in range(l)]
+    part_of = [i for i, s in enumerate(sizes) for _ in range(s)]
+    return Hypergraph(n, r, tuple(e for e in combinations(range(n), r)
+                                  if len({part_of[v] for v in e}) == r))
+
+
+def reference_bipartite3(n: int) -> Hypergraph:
+    return Hypergraph(n, 3, _two_part_edges(n, (n + 1) // 2, 3,
+                                            lambda k: 0 < k < 3))
+
+
+def reference_odd_bipartite(n: int, r: int,
+                            m: Optional[int] = None) -> Hypergraph:
+    uniform = 2 * r
+
+    def count_at(a):
+        return sum(comb(a, i) * comb(n - a, uniform - i)
+                   for i in range(1, uniform + 1, 2))
+
+    a = (_best_split(n, count_at, range(n // 2, n + 1)) if m is None
+         else n // 2 + m)
+    return Hypergraph(n, uniform, _two_part_edges(n, a, uniform,
+                                                  lambda k: k % 2 == 1))
+
+
+def reference_even_quad(n: int) -> Hypergraph:
+    a = _best_split(n, lambda a: comb(a, 2) * comb(n - a, 2), range(n + 1))
+    return Hypergraph(n, 4, _two_part_edges(n, a, 4, lambda k: k == 2))
+
+
+def reference_semibipartite(n: int, r: int) -> Hypergraph:
+    a = _best_split(n, lambda a: a * comb(n - a, r - 1), range(n + 1))
+    return Hypergraph(n, r, _two_part_edges(n, a, r, lambda k: k == 1))
+
+
 FANO_EDGES = ((0, 1, 2), (0, 3, 6), (0, 4, 5), (1, 3, 5), (1, 4, 6),
               (2, 3, 4), (2, 5, 6))
 

@@ -90,6 +90,14 @@ def test_zoo_bad_name_and_params(files, capsys):
     assert invoke(["zoo", "turan", "8"], capsys)[0] == 2
 
 
+def test_zoo_refuses_untaken_params(files, capsys):
+    code, text, err = invoke(["zoo", "fano", "n=5"], capsys)
+    assert code == 2 and not text and "fano does not take: n" in err
+    code, _, err = invoke(["zoo", "turan", "n=5", "l=2", "r=2", "m=3",
+                           "payload=0-1"], capsys)
+    assert code == 2 and "turan does not take: m, payload" in err
+
+
 def test_canon_matches_library(files, capsys):
     code, text, _ = invoke(["canon", files["fano_a.hg"], "--json"], capsys)
     assert code == 0

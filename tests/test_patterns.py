@@ -118,6 +118,17 @@ def test_blowup_empty_pattern():
     assert blowup(Pattern(0, 2, ()), ()) == empty(0, 2)
 
 
+def test_composition_refuses_non_int_parts():
+    # a bool is an int subclass: (True, 2) would read as a 3-vertex split
+    p = Pattern(2, 2, ((1, 2),))
+    for c in [(True, 2), (2, False), (1.0, 2), (Fraction(1), 2)]:
+        with pytest.raises(ValueError, match="int parts"):
+            blowup(p, c)
+        with pytest.raises(ValueError, match="int parts"):
+            blowup_count(p, c)
+    assert blowup_count(p, (1, 2)) == 2
+
+
 def test_lambda_examples():
     assert lambda_n(MANTEL, 9) == (20, (5, 4))
     assert lambda_n(B4_EVEN, 8) == (36, (4, 4))

@@ -601,6 +601,16 @@ def test_pi_upper(cache):
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
 
+def test_pi_upper_refuses_n_below_r(cache):
+    # C(n, r) = 0 below r: refused before any solve touches the cache
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="n >= r"):
+            pi_upper(config_of([(K3, 1)]), n, cache_dir=cache)
+    with pytest.raises(ValueError, match="n >= r"):
+        pi_upper(config_of([(fano(), 1)]), 2, cache_dir=cache)
+    assert not os.path.exists(cache)
+
+
 def test_small_instances_without_edges(cache):
     cfg = config_of([(EDGE3, 1)])
     rec = max_edges(2, cfg, cache_dir=cache)  # no triples exist at n=2

@@ -14,7 +14,11 @@ from turankit.zoo import (
     semibipartite, sunflower, tree_expansion, turan,
 )
 
-from oracles import brute_chromatic, cycle_graph, turan_graph
+from oracles import (
+    brute_chromatic, cycle_graph, reference_bipartite3, reference_even_quad,
+    reference_odd_bipartite, reference_semibipartite, reference_turan,
+    turan_graph,
+)
 
 
 def test_turan_counts_and_labels():
@@ -26,6 +30,32 @@ def test_turan_counts_and_labels():
     # larger parts come first: 10 = 4 + 3 + 3
     g = turan(10, 3, 2)
     assert all(not g.has_edge((u, v)) for u, v in combinations(range(4), 2))
+
+
+# (construction, its filter-over-r-sets oracle, argument tuples); the
+# grid is thinned where the oracle's C(n, r) scan gets slow
+PART_GRID = [
+    (turan, reference_turan,
+     [(n, l, r) for n in (*range(13), 16, 19, 22, 25)
+      for l in range(1, 7) for r in range(1, 6)]),
+    (bipartite3, reference_bipartite3, [(n,) for n in range(2, 26)]),
+    (odd_bipartite, reference_odd_bipartite,
+     [(n, r) + m for r in range(1, 4)
+      for n in range(2 * r, (20, 18, 13)[r - 1])
+      for m in [()] + [(m,) for m in range((n + 1) // 2 + 1)]]),
+    (even_quad, reference_even_quad, [(n,) for n in range(4, 24)]),
+    (semibipartite, reference_semibipartite,
+     [(n, r) for r in range(2, 6) for n in range(r, 20)]),
+]
+
+
+@pytest.mark.parametrize("build, oracle, grid", PART_GRID,
+                         ids=[b.__name__ for b, _, _ in PART_GRID])
+def test_part_constructions_match_filter_oracles(build, oracle, grid):
+    # the pattern blowups equal the filters over all r-sets, labels and
+    # chosen splits included
+    for args in grid:
+        assert build(*args) == oracle(*args), args
 
 
 def test_bipartite3_counts():
@@ -207,3 +237,19 @@ def test_construct_dispatch():
         construct(ZooSpec("turan", {"n": 5}))
     with pytest.raises(ValueError):
         construct(ZooSpec("expansion_of"))
+    # parameters and payloads a construction does not take are refused,
+    # by name
+    for spec, named in [
+            (ZooSpec("fano", {"n": 5}), "n"),
+            (ZooSpec("semibipartite", {"n": 6, "r": 3, "R": 4}), "R"),
+            (ZooSpec("turan", {"n": 5, "l": 2, "r": 2, "m": 3},
+                     payload=[(0, 1)]), "m, payload"),
+            (ZooSpec("expansion_of", {"r": 3}, payload=empty(4, 3)), "r"),
+            (ZooSpec("bipartite3", {"n": 7}, payload=empty(4, 3)), "payload")]:
+        with pytest.raises(ValueError, match=f"does not take: {named}$"):
+            construct(spec)
+    with pytest.raises(ValueError, match="needs a hypergraph payload"):
+        construct(ZooSpec("expansion_of", payload=[(0, 1)]))
+    for payload in (None, empty(3, 2)):
+        with pytest.raises(ValueError, match="needs a tree edge-list payload"):
+            construct(ZooSpec("tree_expansion", {"r": 3}, payload=payload))
