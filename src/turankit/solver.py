@@ -27,13 +27,14 @@ The transpositions are twin swaps, the ones `canon._twin_transpositions`
 finds, with an edge colour for frozen.  Being one is an equivalence
 relation on the vertices, so the group is the product of the symmetric
 groups on its classes, and the orbit of e is every r-set meeting each
-class in as many vertices as e does.  Each node carries per-vertex link
-bitsets of (g, frozen), so a twin test is one masked comparison and an
-orbit a few star-mask operations; the link tables behind them are built
-by the first `run`, so searchers that only test feasibility never pay
-for them.  The r-set tables they read are the searcher's own: a
-`_Searcher` builds its universe once, and the copy tables, the orbits
-and `genfree`'s canonical augmentation share it.
+class in as many vertices as e does.  A node's links are one int, a
+block of (r−1)-set bits per vertex, g part low and frozen part high: a
+twin test masks two blocks, an orbit takes a few star-mask operations,
+and a child's links are one XOR (A) or one OR (B) of the parent's.  The
+link tables are built by the first `run`, so searchers that only test
+feasibility never pay for them.  The r-set tables they read are the
+searcher's own: a `_Searcher` builds its universe once, and the copy
+tables, the orbits and `genfree`'s canonical augmentation share it.
 
 Pruning: the node's own edge count is an upper bound (deletion-only
 search), strengthened by packing — p violating realizations that are
@@ -268,37 +269,37 @@ class _Searcher:
             self.n, self.r, tuple(self.edges[e] for e in _bits(mask)))
 
     def _orbit_tables(self):
-        """Tables for twin tests and edge orbits: the searcher's `star`,
-        then the link tables.  A link is an (r-1)-set bitset carrying the
-        g part in its low half and the frozen part shifted up by `shift`;
-        link_bits[e] = the (vertex, link bit) pairs edge e adds, and
+        """Tables for twin tests and edge orbits.  Vertex v's (r-1)-set
+        link takes bits [v·width, (v+1)·width) of a node's links, g in the
+        low `half` bits and the frozen part in the high half.  delta[e] =
+        the link bits edge e adds, root = the links of K_n, and
         avoid[u][v] = the (r-1)-sets missing u and v, in both halves."""
         n, r = self.n, self.r
         lsets = {t: i for i, t in enumerate(combinations(range(n), r - 1))}
-        shift = len(lsets)
-        link_bits = [tuple((v, 1 << lsets[tuple(w for w in e if w != v)])
-                           for v in e) for e in self.edges]
+        half = len(lsets)
+        width = 2 * half
+        delta = [sum([1 << v * width + lsets[e[:i] + e[i + 1:]]
+                      for i, v in enumerate(e)]) for e in self.edges]
         has = [sum(1 << i for t, i in lsets.items() if v in t)
                for v in range(n)]
-        low = (1 << shift) - 1
-        avoid = [[(low & ~(has[u] | has[v])) * (1 | 1 << shift)
+        low = (1 << half) - 1
+        avoid = [[(low & ~(has[u] | has[v])) * (1 | 1 << half)
                   for v in range(n)] for u in range(n)]
-        root = [low & ~has[v] for v in range(n)]  # the links of K_n
-        return self.star, link_bits, avoid, shift, root
+        return delta, avoid, width, half, _union(delta, self.full)
 
-    def orbit(self, e: int, links) -> int:
+    def orbit(self, e: int, links: int) -> int:
         """Edge mask of the orbit of edge e under the twin transpositions
         of (g, frozen), given their links: every r-set meeting each twin
         class in as many vertices as e does (module docstring)."""
-        star, avoid = self.star, self.orbit_tables[2]
+        star, (_, avoid, width, _, _) = self.star, self.orbit_tables
         classes = []
         inside = 0  # vertices of e already placed in a class
         for a in self.edges[e]:
             if inside >> a & 1:
                 continue
-            la, av = links[a], avoid[a]
+            la, av = links >> a * width, avoid[a]
             cls = [v for v in range(self.n)
-                   if not (la ^ links[v]) & av[v]]
+                   if not (la ^ links >> v * width) & av[v]]
             cmask = sum(1 << v for v in cls)
             classes.append((cls, sum(1 for v in self.edges[e]
                                      if cmask >> v & 1)))
@@ -328,7 +329,7 @@ class _Searcher:
         nodes it pops."""
         if self.orbit_tables is None:
             self.orbit_tables = self._orbit_tables()
-        _, link_bits, _, shift, root = self.orbit_tables
+        delta, _, _, half, root = self.orbit_tables
         kill, pack = self.kill, self.pack
         best, forms = (floor, None), set()
         heap = []  # (-bound, path, g, frozen, count, alive, links, pick)
@@ -379,20 +380,11 @@ class _Searcher:
                 continue
             # child A deletes e, child B freezes its orbit
             e = pick.bit_length() - 1
-            child_a = links[:]
-            for v, bit in link_bits[e]:
-                child_a[v] ^= bit
             orb = self.orbit(e, links)
-            child_b = links[:]
-            x = orb
-            while x:
-                y = x & -x
-                for v, bit in link_bits[y.bit_length() - 1]:
-                    child_b[v] |= bit << shift
-                x ^= y
             todo = ((path + b"\0", g & ~pick, frozen, cnt - 1,
-                     alive & ~kill[e], child_a),
-                    (path + b"\1", g, frozen | orb, cnt, alive, child_b))
+                     alive & ~kill[e], links ^ delta[e]),
+                    (path + b"\1", g, frozen | orb, cnt, alive,
+                     links | _union(delta, orb) << half))
 
 
 def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],

@@ -30,6 +30,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import Hypergraph, empty
+from .errors import BudgetExceededError
 from .patterns import Pattern, blowup, blowup_count
 
 
@@ -255,7 +256,8 @@ def construct(spec: ZooSpec) -> Hypergraph:
     (n, l, r, m, k); `l` is the part/clique parameter, so
     expansion_complete uses l+1 original vertices and bgraph l+1 vertices
     total.  Unknown names, parameters or a payload the construction does
-    not take, and missing/invalid parameters raise ValueError.
+    not take, and missing, non-int (bools included) or invalid parameters
+    raise ValueError.
     """
     if spec.name not in _CONSTRUCTORS:
         raise ValueError(f"unknown zoo name: {spec.name}")
@@ -268,6 +270,9 @@ def construct(spec: ZooSpec) -> Hypergraph:
     missing = [k for k in keys if k not in spec.params and k != "m"]
     if missing:
         raise ValueError(f"{spec.name} needs parameters: {', '.join(missing)}")
+    typed = [k for k, v in spec.params.items() if type(v) is not int]
+    if typed:  # not isinstance: Python counts True and False as ints
+        raise ValueError(f"{spec.name} needs int parameters: {', '.join(typed)}")
     args = [spec.params.get(k) for k in keys]
     if spec.name in _PAYLOADS:
         if spec.payload is None or isinstance(spec.payload, Hypergraph) != (
@@ -282,7 +287,7 @@ def chromatic_number(g: Hypergraph) -> int:
     if g.r != 2:
         raise ValueError("chromatic_number requires uniformity 2")
     if g.n > 16:
-        raise ValueError("chromatic_number budget is n <= 16")
+        raise BudgetExceededError("chromatic_number budget is n <= 16")
     if g.n == 0:
         return 0
     if not g.edges:

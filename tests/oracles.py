@@ -507,7 +507,7 @@ def reference_orbital_run(searcher, floor: int, node_limit: int,
     s = searcher
     if s.orbit_tables is None:
         s.orbit_tables = s._orbit_tables()
-    _, link_bits, _, shift, root = s.orbit_tables
+    delta, _, _, half, root = s.orbit_tables
     found: set = set()
     best = [floor, None]  # the floor and its witness mask
 
@@ -544,19 +544,11 @@ def reference_orbital_run(searcher, floor: int, node_limit: int,
             return
         low = first & -first
         e = low.bit_length() - 1
-        child = links[:]
-        for v, bit in link_bits[e]:
-            child[v] ^= bit
-        again(again, g & ~low, frozen, cnt - 1, alive & ~s.kill[e], child)
+        again(again, g & ~low, frozen, cnt - 1, alive & ~s.kill[e],
+              links ^ delta[e])
         orb = s.orbit(e, links)
-        child = links[:]
-        x = orb
-        while x:
-            bit_x = x & -x
-            for v, bit in link_bits[bit_x.bit_length() - 1]:
-                child[v] |= bit << shift
-            x ^= bit_x
-        again(again, g, frozen | orb, cnt, alive, child)
+        again(again, g, frozen | orb, cnt, alive,
+              links | _union(delta, orb) << half)
 
     search(search, s.full, 0, len(s.edges), s.alive_in(s.full), root)
     return found if enumerate_all else tuple(best)

@@ -890,19 +890,24 @@ def test_searcher_owns_star_and_spans(r):
         assert list(s.spans) == universe
         assert s.star == [sum(1 << i for i, e in enumerate(universe)
                               if v in e) for v in range(n)]
-        assert s._orbit_tables()[0] is s.star
 
 
 def links_of(s, g, frozen):
-    """The links `orbit` reads, built from scratch for (g, frozen)."""
-    _, link_bits, _, shift, _ = s.orbit_tables
-    links = [0] * s.n
-    for x in range(len(s.edges)):
-        for v, bit in link_bits[x]:
+    """The links `orbit` reads, built from scratch for (g, frozen): one
+    int holding, for each vertex v, a block of 2·C(n, r−1) bits, where
+    bit i of the block is set if v joined to the i-th (r−1)-set in lex
+    order is an edge of g, and bit C(n, r−1) + i if it is frozen."""
+    lsets = list(combinations(range(s.n), s.r - 1))
+    half = len(lsets)
+    links = 0
+    for x, e in enumerate(s.edges):
+        for v in e:
+            bit = 1 << 2 * half * v + lsets.index(
+                tuple(w for w in e if w != v))
             if g >> x & 1:
-                links[v] |= bit
+                links |= bit
             if frozen >> x & 1:
-                links[v] |= bit << shift
+                links |= bit << half
     return links
 
 
@@ -932,7 +937,8 @@ def brute_twin_orbit(s, g, frozen, e):
 
 
 @settings(max_examples=80)
-@given(st.sampled_from([2, 3]), st.integers(3, 7), st.randoms(use_true_random=False))
+@given(st.sampled_from([1, 2, 3, 4]), st.integers(3, 7),
+       st.randoms(use_true_random=False))
 @example(2, 6, None)  # the complete graph: every edge is in one orbit
 def test_orbit_is_the_twin_group_orbit(r, n, rnd):
     s = _Searcher(n, config_of([(complete(r, r), 1)]))
@@ -945,7 +951,9 @@ def test_orbit_is_the_twin_group_orbit(r, n, rnd):
         g = sum(1 << x for x in range(m) if rnd.random() < 0.8)
         frozen = sum(1 << x for x in _bits(g) if rnd.random() < 0.3)
     links = links_of(s, g, frozen)
-    assert links_of(s, s.full, 0) == s.orbit_tables[4]
+    delta, root = s.orbit_tables[0], s.orbit_tables[4]
+    assert links_of(s, s.full, 0) == root
+    assert delta == [links_of(s, 1 << x, 0) for x in range(m)]
     for e in _bits(g & ~frozen):
         orb = s.orbit(e, links)
         assert orb == brute_twin_orbit(s, g, frozen, e)
@@ -1052,7 +1060,7 @@ def test_carried_links_are_the_links_of_each_node(n, families, monkeypatch):
             return None
         if event == "line" and frame.f_lineno == evaluated:
             loc = frame.f_locals
-            nodes.append((loc["g"], loc["frozen"], list(loc["links"])))
+            nodes.append((loc["g"], loc["frozen"], loc["links"]))
         return tracer
 
     # the loop counts each node as it evaluates it

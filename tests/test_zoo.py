@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from turankit.core import Hypergraph, are_isomorphic, complete, disjoint_union, empty
+from turankit.errors import BudgetExceededError
 from turankit.zoo import (
     ZooSpec, bgraph, bipartite3, chromatic_number, construct, even_quad,
     expanded_triangle, expansion_complete, expansion_of, f7, f32, f43, fano,
@@ -188,7 +189,7 @@ def test_chromatic_examples():
     assert chromatic_number(empty(5, 2)) == 1
     with pytest.raises(ValueError):
         chromatic_number(complete(4, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         chromatic_number(empty(17, 2))
 
 
@@ -207,6 +208,13 @@ def test_edge_critical():
     assert not is_edge_critical(disjoint_union([(complete(3, 2), 2)]))
     with pytest.raises(ValueError):
         is_edge_critical(empty(4, 2))
+
+
+def test_chromatic_number_budget():
+    # a size budget, as everywhere else in the package
+    for check in (chromatic_number, is_edge_critical):
+        with pytest.raises(BudgetExceededError, match="n <= 16"):
+            check(complete(17, 2))
 
 
 def test_construct_dispatch():
@@ -253,3 +261,10 @@ def test_construct_dispatch():
     for payload in (None, empty(3, 2)):
         with pytest.raises(ValueError, match="needs a tree edge-list payload"):
             construct(ZooSpec("tree_expansion", {"r": 3}, payload=payload))
+    # parameters must be ints, bools included, named by key
+    for spec, named in [
+            (ZooSpec("turan", {"n": 5, "l": True, "r": 2}), "l"),
+            (ZooSpec("odd_bipartite", {"n": 8, "r": 2, "m": True}), "m"),
+            (ZooSpec("sunflower", {"k": "3", "r": 2}), "k")]:
+        with pytest.raises(ValueError, match=f"needs int parameters: {named}$"):
+            construct(spec)
