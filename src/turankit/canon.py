@@ -27,10 +27,11 @@ found in two phases:
     of its final tuple; the bound groups the undecided edges by that
     prefix K and completes a group of k edges with the k least K + S,
     S drawn from the labels still free, merged with the decided tuples.
-    Before the search, one greedy dive labels vertices by the search's own
-    key (the tuples a label completes), ties broken by larger degree and
-    then smaller index, and its sorted edge list H is an incumbent (branch
-    and bound with a heuristic incumbent, Land & Doig, Econometrica 1960):
+    Before the search, one greedy dive labels vertices by the tuples a
+    label completes (the search's key, except that a list sorts after its
+    extensions), ties broken by larger degree and then smaller index, and
+    its sorted edge list H is an incumbent (branch and bound with a
+    heuristic incumbent, Land & Doig, Econometrica 1960):
     H comes from a real labeling, so H >= the minimum.  While the best
     leaf so far is above H, a subtree is cut only when its completion is
     strictly above H; once best <= H, when it is >= best.  The output
@@ -38,7 +39,7 @@ found in two phases:
     the minimum has a completion <= the minimum <= H and <= best, so that
     leaf is still visited and still wins, and a phase-1 certificate that
     already is the minimum still returns the phase-1 perm.  Only nodes
-    drop (the 2K3@9 witness K_1 + K_{4,4}: 87 -> 38).
+    drop (the 2K3@9 witness K_1 + K_{4,4}: 87 -> 15).
 
 Both phases find orbits with a union-find that unites only the points a
 generator moves, one pair per point after a cycle's first (a twin swap
@@ -320,13 +321,16 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
         return placed
 
     # the incumbent H: one greedy dive that takes the least key, then the
-    # larger degree, then the smaller index.  H is a real relabeling, so
-    # H >= the minimum
+    # larger degree, then the smaller index.  Its key is newly + [maxtuple],
+    # so that a list sorts after its extensions: a label completing more
+    # tuples with the same prefix puts them before any later tuple.  H is
+    # a real relabeling, so H >= the minimum
     dive: list[Edge] = [()] * m
     j = 0
     while any(len(t) < r for t in dive):
         _, u, _ = min(scored(j, dive),
-                      key=lambda t: (t[0], -len(incident_idx[t[1]]), t[1]))
+                      key=lambda t: (t[2] + [maxtuple],
+                                     -len(incident_idx[t[1]]), t[1]))
         dive = placed_with(u, j, dive)
         label_of[u] = j
         j += 1

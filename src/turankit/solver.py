@@ -56,9 +56,41 @@ scans over the alive set, each chosen copy striking out its vertex
 conflicts (bit-parallel candidate sets, as in San Segundo,
 Rodríguez-Losada & Jiménez, Comput. Oper. Res. 2011).
 
+Vertex-deletion bounds: a subgraph of a feasible graph is feasible, so
+given U >= ex(n − 1), every feasible H on n vertices has (n − r)·e(H) =
+Σ_v e(H − v) <= n·U, the cap ⌊n·U/(n − r)⌋ (Katona, Nemetz & Simonovits,
+Mat. Lapok 15, 1964), and e(H) = e(H − v) + deg_H(v) <= U + deg_g(v) for
+every vertex v of a node (g, frozen) above H, the degree read as
+popcount(g & star[v]).  `run` clips each node's packing bound by both.
+Given also W, a feasible graph on n − 1 vertices, a solve first runs
+`run` from the root (W ∪ star(n − 1), W), whose best feasible node, the
+best one-vertex extension of W, seeds the main pass.  Every bound holds
+for every feasible graph below its node, so values and enumerated classes
+are those of the bound-free search, the differential oracle; node
+counts, the value-mode witness and `seeded_lower` are the bounded ones.
+
+(U, W) for n − 1 comes from the process, never from the cache: `_load`
+proves only that a stored graph is feasible, a lower bound, so a record
+whose value was lowered would cap ex(n) too low, and the answer would be
+wrong yet exact.  `ex_table` hands each row it solves to the next, its
+`upper` and first graph.  Otherwise `_chain` derives the pair: K_{n0−1}
+is feasible for n0 = Σ t_i·v(F_i), the fewest vertices a realization
+takes, and each m from n0 to n − 1 is solved in value mode from the pair
+of m − 1, storing no record.  The chain runs in n's own searcher: the
+r-sets and copies inside the first m vertices are K_m's, in the same
+order, so a search on them makes the moves of an m-vertex searcher
+without building one, and n's budgets fail before the chain's work.
+The node limit bounds the chain and the solve together, and the
+record's `nodes` counts both.  Once the limit is spent nothing more is
+searched: the pair is carried up by the cap and an isolated vertex, and
+the record is the bracket [e(W), cap].  W may fail on more vertices,
+since an isolated vertex of some F_i finds room there; the extension
+then seeds nothing, and the bracket's lower end falls to a feasible
+seed's count or 0.
+
 Both questions are one pass of best-first branch and bound (Ibaraki,
 Int. J. Comput. Inf. Sci. 5, 1976): evaluated nodes wait in a heap,
-largest packing bound first, and the first feasible node popped is a
+largest bound first, and the first feasible node popped is a
 largest feasible graph, since no open node can beat its count.  Nodes
 whose bound does not beat the floor are dropped: a feasible seed's count
 (less one in an enumeration, which collects the seed's class too), or
@@ -202,7 +234,7 @@ class _Searcher:
             for v in e:
                 self.star[v] |= 1 << i
         self.full = (1 << len(self.edges)) - 1
-        at = {m: i for i, m in enumerate(self.spans.values())}
+        at = {m: 1 << i for i, m in enumerate(self.spans.values())}
         self.fams = []  # (copies, demand); copy = (edge mask, vertex mask)
         for f, t in config.families:
             self.fams.append((self._copies(f, at), t))
@@ -216,8 +248,8 @@ class _Searcher:
             for e in _bits(em):
                 self.kill[e] |= 1 << c
         self.used = sum(1 << e for e, k in enumerate(self.kill) if k)
-        self.pack = _pack(_spans(self.fams),
-                          _conflicts([vm for _, vm in flat], n),
+        self.vmasks = [vm for _, vm in flat]
+        self.pack = _pack(_spans(self.fams), _conflicts(self.vmasks, n),
                           [em for em, _ in flat])
         self.orbit_tables = None  # built by the first `run`, which needs them
         self.nodes = 0
@@ -230,13 +262,15 @@ class _Searcher:
         vertex mask is the image of all v(f) vertices, isolated ones
         included; `_embeddings` yields each copy once."""
         # distinct edges and vertices of f have distinct images, so a sum
-        # of vertex bits is the image's vertex mask, a key of `at`
+        # of vertex bits is the image's vertex mask, a key of `at`, which
+        # maps it to the image's edge bit
         copies = []
         for mapping in _embeddings(f, self.n, self.index):
             b = [1 << w for w in mapping]
+            bit_of = b.__getitem__
             em = 0
             for e in f.edges:
-                em |= 1 << at[sum([b[v] for v in e])]
+                em |= at[sum(map(bit_of, e))]
             copies.append((em, sum(b)))
         # f's copies have equal edge counts, so ascending lists of edge
         # bits are descending strings of edge bits from bit 0 up
@@ -292,14 +326,15 @@ class _Searcher:
         of (g, frozen), given their links: every r-set meeting each twin
         class in as many vertices as e does (module docstring)."""
         star, (_, avoid, width, _, _) = self.star, self.orbit_tables
+        block = (1 << width) - 1
+        blocks = [links >> v * width & block for v in range(self.n)]
         classes = []
         inside = 0  # vertices of e already placed in a class
         for a in self.edges[e]:
             if inside >> a & 1:
                 continue
-            la, av = links >> a * width, avoid[a]
-            cls = [v for v in range(self.n)
-                   if not (la ^ links >> v * width) & av[v]]
+            la, av = blocks[a], avoid[a]
+            cls = [v for v in range(self.n) if not (la ^ blocks[v]) & av[v]]
             cmask = sum(1 << v for v in cls)
             classes.append((cls, sum(1 for v in self.edges[e]
                                      if cmask >> v & 1)))
@@ -315,29 +350,53 @@ class _Searcher:
             orb &= at[k]
         return orb
 
-    def run(self, floor: int, node_limit: int, enumerate_all: bool):
-        """Explore the orbital freezing tree below the root in one loop
-        over a heap of evaluated nodes, dropping every node whose packing
-        bound does not beat `floor` edges.  Nodes pop by (−bound, path),
-        where a node's path is its string of children from the root (A =
-        0, B = 1), so that bound ties pop in depth-first order.  Returns
-        (count, mask, forms): a feasible node popped, a largest feasible
-        graph above the floor, or (floor, None) when there is none.  Value
-        mode returns at the first such node, with no forms; enumerate mode
+    def within(self, m: int) -> tuple[int, int, int]:
+        """(m, the r-sets inside the first m vertices, the copies inside
+        them): the universe and copies of K_m, which are those of K_n
+        restricted, in the same order, so that a search on m vertices
+        runs in this searcher's tables and makes the moves a searcher of
+        its own would make."""
+        outside = _union(self.star, (1 << self.n) - (1 << m))
+        flags = bytearray((len(self.vmasks) + 7) // 8)
+        for c, vm in enumerate(self.vmasks):
+            if not vm >> m:
+                flags[c >> 3] |= 1 << (c & 7)
+        return m, self.full & ~outside, int.from_bytes(flags, "little")
+
+    def run(self, floor: int, node_limit: int, enumerate_all: bool,
+            upper: Optional[int] = None, root: Optional[tuple] = None,
+            within: Optional[tuple] = None):
+        """Explore the orbital freezing tree below the root, K_m or the
+        node `root` = (g, frozen), on the first m vertices (`within`, by
+        default all n), in one loop over a heap of evaluated nodes,
+        dropping every node whose bound does not beat `floor` edges.  The
+        bound is the packing bound, clipped, when `upper` bounds
+        ex(m − 1), by the cap and by `upper` plus the node's least degree
+        (module docstring).  Nodes pop by (−bound, path), where a
+        node's path is its string of children from the root (A = 0, B =
+        1), so that bound ties pop in depth-first order.  Returns (count,
+        mask, forms): a feasible node popped, a largest feasible graph
+        above the floor, or (floor, None) when there is none.  Value mode
+        returns at the first such node, with no forms; enumerate mode
         raises the floor to count − 1 and keeps popping until no open node
         reaches the count, collecting the canonical forms of the feasible
         nodes it pops."""
         if self.orbit_tables is None:
             self.orbit_tables = self._orbit_tables()
-        delta, _, _, half, root = self.orbit_tables
-        kill, pack = self.kill, self.pack
+        delta, _, _, half, links = self.orbit_tables
+        m, sub, inside = within or (self.n, self.full, self.all_copies)
+        kill, pack, star = self.kill, self.pack, self.star[:m]
+        cap = _cap(m, self.r, upper)
+        g, frozen = root or (sub, 0)
+        if (g, frozen) != (self.full, 0):
+            links = _union(delta, g) | _union(delta, frozen) << half
+        cnt = g.bit_count()
         best, forms = (floor, None), set()
         heap = []  # (-bound, path, g, frozen, count, alive, links, pick)
         # the nodes to evaluate: (path, g, frozen, count, alive, links), the
         # children of the node popped with `key`
-        todo = ((b"", self.full, 0, len(self.edges), self.alive_in(self.full),
-                 root),)
-        key = -len(self.edges)
+        todo = ((b"", g, frozen, cnt, self.alive_in(g) & inside, links),)
+        key = -min(cnt, cap)
         while True:
             for path, g, frozen, cnt, alive, links in todo:
                 self.nodes += 1
@@ -347,6 +406,12 @@ class _Searcher:
                     self.limit_hit = True
                     self.skipped_upper = -min(key, heap[0][0] if heap else key)
                     return best + (forms,)
+                clip = cnt
+                if upper is not None:
+                    clip = min(cap, upper + min([(g & v).bit_count()
+                                                 for v in star]))
+                    if clip <= floor:
+                        continue
                 # the packing bound; a = the copies the deletions leave
                 bound, a, first = cnt, alive, 0
                 while bound > floor:
@@ -364,8 +429,8 @@ class _Searcher:
                         a &= ~kill[low.bit_length() - 1]
                         nonfrozen ^= low
                 if bound > floor:
-                    heappush(heap, (-bound, path, g, frozen, cnt, alive, links,
-                                    first & -first))
+                    heappush(heap, (-min(bound, clip), path, g, frozen, cnt,
+                                    alive, links, first & -first))
             if not heap or heap[0][0] >= -floor:  # none beats the floor
                 return best + (forms,)
             # pick = the bit of the edge to branch on, 0 at a feasible node
@@ -386,9 +451,77 @@ class _Searcher:
                     (path + b"\1", g, frozen | orb, cnt, alive,
                      links | _union(delta, orb) << half))
 
+    def extend(self, w: int, upper: int, node_limit: int,
+               within: Optional[tuple] = None):
+        """The best one-vertex extension of the edge set w, a feasible
+        graph on m − 1 vertices, on the first m (`within`, by default all
+        n): (count, mask) of a largest feasible H with w ⊆ H ⊆ w ∪
+        star(m − 1), found by `run` from the root (w ∪ star(m − 1), w)
+        under `upper` ≥ ex(m − 1); w itself when nothing beats it or the
+        node counter has reached `node_limit`.  The new vertex can hold
+        an isolated vertex of some F_i, so w may be infeasible on m
+        vertices, and so every such H: then (-1, None)."""
+        m, sub, inside = within or (self.n, self.full, self.all_copies)
+        if self.pack(self.alive_in(w) & inside) is not None:
+            return -1, None
+        if self.nodes >= node_limit:
+            return w.bit_count(), w
+        count, mask, _ = self.run(w.bit_count(), node_limit, False, upper,
+                                  (w | self.star[m - 1] & sub, w), within)
+        return (count, mask) if mask is not None else (w.bit_count(), w)
+
+
+def _cap(n: int, r: int, upper: Optional[int]) -> int:
+    """C(n, r), and at most ⌊n·U/(n − r)⌋ when U = `upper` bounds
+    ex(n − 1) and n > r (module docstring)."""
+    top = comb(n, r)
+    if upper is not None and n > r:
+        top = min(top, n * upper // (n - r))
+    return top
+
+
+def _search(s: _Searcher, seeded: int, seed_mask: Optional[int], below,
+            limit: int, enumerate_all: bool, m: Optional[int] = None):
+    """The one best-first pass of searcher s on its first m vertices (by
+    default all n), under `limit` for s's node counter, which holds the
+    nodes spent before it.  With `below` = (U, W mask), the one-vertex
+    extension of W raises the seed first and U clips every bound.
+    Returns (value, upper, witness mask, forms, seeded)."""
+    m = s.n if m is None else m
+    upper, within = None, s.within(m) if m < s.n else None
+    if below is not None:
+        upper, w = below
+        count, mask = s.extend(w, upper, limit, within)
+        if mask is not None and (seed_mask is None or count > seeded):
+            seeded, seed_mask = count, mask
+        if s.nodes >= limit:  # only the cap bounds the graphs beyond W's
+            s.limit_hit = True
+            return seeded, max(seeded, _cap(m, s.r, upper)), seed_mask, \
+                set(), seeded
+    # One best-first pass (module docstring).  Fano at n = 10 takes 315
+    # nodes; depth first it took 49 305 from below, and 759 in runs for
+    # more than 119, 118, ... edges.  An enumeration starts below a seed's
+    # count, so that it collects the seed's class too.
+    floor = -1
+    if seed_mask is not None:
+        floor = seeded - 1 if enumerate_all else seeded
+    value, witness, forms = s.run(floor, limit, enumerate_all, upper,
+                                  within=within)
+    if witness is None:  # the seed's count, or the never reached empty graph
+        value, witness = seeded, seed_mask
+    # once a feasible node is popped, its count is the value
+    top = max(value, s.skipped_upper) if s.limit_hit and not forms else value
+    return value, top, witness, forms, seeded
+
 
 def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
-           enumerate_all: bool, node_limit: Optional[int]) -> TuranRecord:
+           enumerate_all: bool, node_limit: Optional[int], below=None,
+           chain: bool = False) -> TuranRecord:
+    """Solve n.  Without `below` the search is bound-free; with `below` =
+    (U, W), U ≥ ex(n − 1) and W a feasible graph on n − 1 vertices, or
+    with `chain`, which derives them by `_chain` in n's searcher, the
+    bounds clip and seed it.
+    The chain's nodes count towards the record's and the node limit."""
     t0 = time.perf_counter()
     limit = _node_limit(node_limit)
     s = _Searcher(n, config)
@@ -403,18 +536,12 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
             seeded = seed.edge_count
             seed_mask = m
 
-    # One best-first pass (module docstring).  Fano at n = 10 takes 315
-    # nodes; depth first it took 49 305 from below, and 759 in runs for
-    # more than 119, 118, ... edges.  An enumeration starts below a seed's
-    # count, so that it collects the seed's class too.
-    floor = -1
-    if seed_mask is not None:
-        floor = seeded - 1 if enumerate_all else seeded
-    value, witness, forms = s.run(floor, limit, enumerate_all)
-    if witness is None:  # the seed's count, or the never reached empty graph
-        value, witness = seeded, seed_mask
-    # once a feasible node is popped, its count is the value
-    upper = max(value, s.skipped_upper) if s.limit_hit and not forms else value
+    if chain:
+        below = _chain(s, limit)
+    elif below is not None:
+        below = below[0], s.mask_of(below[1])
+    value, upper, witness, forms, seeded = _search(
+        s, seeded, seed_mask, below, limit, enumerate_all)
     extremal = tuple(sorted(forms, key=lambda g: g.edges))
     if not forms and witness is not None:
         extremal = (canonical_form(s.graph_of(witness)).graph(),)
@@ -423,6 +550,28 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
                        "bounds" if s.limit_hit else "exact", value, upper,
                        extremal, enumerate_all and not s.limit_hit, s.nodes,
                        elapsed, seeded)
+
+
+def _chain(s: _Searcher, limit: int) -> tuple[int, int]:
+    """(U, W) for n − 1, in searcher s: U ≥ ex(n − 1) and W the edge mask
+    of a feasible graph on the first n − 1 vertices.  No realization fits
+    in fewer than n0 = Σ t_i·v(F_i) vertices, so K_{n0−1} is feasible;
+    from there each m < n is solved by `_search` in value mode on the
+    first m vertices, from the (U, W) of m − 1, with no record and no
+    canonical form.  Its nodes count on s's counter; once that reaches
+    `limit`, the m left are not searched: U is carried up by `_cap`, and
+    W as it stands (`_Searcher.extend` rechecks it)."""
+    r = s.r
+    m = min(s.n, sum(f.n * t for f, t in s.config.families)) - 1
+    upper, w = comb(m, r), s.within(m)[1]
+    for m in range(m + 1, s.n):
+        if s.nodes >= limit:
+            upper = _cap(m, r, upper)
+            continue
+        _, upper, mask, _, _ = _search(s, 0, None, (upper, w), limit, False,
+                                       m)
+        w = mask or 0  # with no feasible graph found, the empty one
+    return upper, w
 
 
 def _cache_path(n: int, config: ForbiddenConfig, cache_dir) -> str:
@@ -502,16 +651,23 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
 
 
 def _cached_solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
-                  enumerate_all: bool, cache_dir,
-                  node_limit: Optional[int]) -> TuranRecord:
+                  enumerate_all: bool, cache_dir, node_limit: Optional[int],
+                  handoff: Optional[list] = None) -> TuranRecord:
     """The cached record when it answers the question, else a solve,
-    stored when exact."""
+    stored when exact.  The solve takes (U, W) for n − 1 from `handoff`,
+    a one-item list holding a record of n − 1 solved in this process, or
+    else from `_chain`; it puts its own record there, and a cache hit puts
+    None, since a record read from disk proves no upper bound."""
     node_limit = _node_limit(node_limit)  # refused even on a cache hit
+    handoff = handoff or [None]
+    prev, handoff[0] = handoff[0], None
     path = _cache_path(n, config, cache_dir)
     cached = _load(path, n, config)
     if cached is not None and (cached.extremal_complete or not enumerate_all):
         return cached
-    record = _solve(n, config, seed, enumerate_all, node_limit)
+    below = None if prev is None else (prev.upper, prev.extremal[0])
+    record = handoff[0] = _solve(n, config, seed, enumerate_all, node_limit,
+                                 below, below is None and n > 0)
     if record.status == "exact":
         _store(record, path)
     return record
@@ -527,9 +683,12 @@ def _exact(record: TuranRecord) -> TuranRecord:
 
 def max_edges(n: int, config: ForbiddenConfig,
               seed: Optional[Hypergraph] = None, *,
-              cache_dir=None, node_limit: Optional[int] = None) -> TuranRecord:
-    """Exact maximum edge count of a feasible graph on n vertices."""
-    return _cached_solve(n, config, seed, False, cache_dir, node_limit)
+              cache_dir=None, node_limit: Optional[int] = None,
+              _handoff: Optional[list] = None) -> TuranRecord:
+    """Exact maximum edge count of a feasible graph on n vertices.
+    `_handoff` is `ex_table`'s, passed on to `_cached_solve`."""
+    return _cached_solve(n, config, seed, False, cache_dir, node_limit,
+                         _handoff)
 
 
 def enumerate_extremal(n: int, config: ForbiddenConfig,
@@ -581,27 +740,26 @@ def _check_range(n_lo: int, n_hi: int) -> None:
 
 def ex_table(config: ForbiddenConfig, n_lo: int, n_hi: int, *,
              cache_dir=None, node_limit: Optional[int] = None) -> TuranTable:
-    """Solve a contiguous n-range, seeding each instance with the
-    previous extremal graph plus an isolated vertex (validated, so a
-    useless seed is simply dropped)."""
+    """Solve a contiguous n-range, each row with its own node limit.  A
+    row solved here hands its value and witness to the next row as (U, W)
+    (module docstring); a row read from the cache hands nothing, and the
+    next row, if not cached too, derives (U, W) from its own chain."""
     _check_range(n_lo, n_hi)
     records = []
-    prev: Optional[Hypergraph] = None
+    handoff = [None]
     for n in range(n_lo, n_hi + 1):
-        seed = None
-        if prev is not None:
-            seed = Hypergraph(n, config.r, prev.edges)
-        rec = _exact(max_edges(n, config, seed,
-                               cache_dir=cache_dir, node_limit=node_limit))
-        records.append(rec)
-        prev = rec.extremal[0] if rec.extremal else None
+        records.append(_exact(max_edges(n, config, cache_dir=cache_dir,
+                                        node_limit=node_limit,
+                                        _handoff=handoff)))
     return TuranTable(config, tuple(records))
 
 
 def pi_upper(config: ForbiddenConfig, n: int, *,
              cache_dir=None, node_limit: Optional[int] = None) -> Fraction:
     """ex(n, config)/C(n, r): a certified density upper bound, since the
-    ratio is nonincreasing in n."""
+    ratio is nonincreasing in n.  That is the cap of the module docstring
+    divided by C(n, r) = n·C(n − 1, r)/(n − r); the solve uses the cap
+    itself, with the chain below n."""
     if n < config.r:
         raise ValueError(f"pi_upper needs n >= r = {config.r}")
     rec = _exact(max_edges(n, config, cache_dir=cache_dir,

@@ -267,8 +267,9 @@ def count_phase_two_nodes(g: Hypergraph) -> int:
 def test_pinned_phase_two_node_count():
     # the greedy incumbent H cuts subtrees above it before phase 2 finds
     # a good leaf of its own: 87 nodes for K_1 + K_{4,4} and 8 for the
-    # path when phase 2 started from the phase-1 certificate alone
-    assert count_phase_two_nodes(INCUMBENT_CASES[3][0]) == 38
+    # path when phase 2 started from the phase-1 certificate alone, and 38
+    # for K_1 + K_{4,4} when the dive's key was the search's own
+    assert count_phase_two_nodes(INCUMBENT_CASES[3][0]) == 15
     assert count_phase_two_nodes(INCUMBENT_CASES[0][0]) == 5
 
 

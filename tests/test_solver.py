@@ -166,9 +166,11 @@ def test_seed_validation(cache):
         max_edges(6, cfg, turan(5, 2, 2), cache_dir=cache)
     with pytest.raises(ValueError):
         max_edges(5, cfg, Hypergraph(5, 3, ((0, 1, 2),)), cache_dir=cache)
-    # an infeasible seed is dropped, not trusted
+    # an infeasible seed is dropped, not trusted: the floor is the one-vertex
+    # extension's, and the bound-free search has none
     rec = max_edges(5, cfg, complete(5, 2), cache_dir=cache)
-    assert rec.value == 6 and rec.seeded_lower == 0
+    assert rec.value == 6 and rec.seeded_lower == 6
+    assert _solve(5, cfg, complete(5, 2), False, None).seeded_lower == 0
 
 
 def test_node_limit_gives_bounds(cache):
@@ -365,8 +367,8 @@ def test_cache_file_format_is_pinned(cache, monkeypatch):
         "format": 2, "n": 5, "r": 2, "config_hash": "76e19f39f13b48fa",
         "status": "exact", "value": 6, "upper": 6,
         "extremal": [[[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]],
-        "extremal_complete": False, "nodes": 13, "elapsed_ms": 1,
-        "seeded_lower": 0}
+        "extremal_complete": False, "nodes": 18, "elapsed_ms": 1,
+        "seeded_lower": 6}
     cfg = config_of([(K3, 1)])
     rec = max_edges(5, cfg, cache_dir=cache)
     assert os.listdir(cache) == [name]
@@ -1079,3 +1081,147 @@ def test_carried_links_are_the_links_of_each_node(n, families, monkeypatch):
     s, = searchers
     for g, frozen, links in nodes:
         assert links == links_of(s, g, frozen)
+
+
+# -- vertex-deletion bounds: the cap, the degree bound, the extension seed --
+
+
+@st.composite
+def deletion_configs(draw):
+    """One or two families (r in {2, 3}, at most r + 2 vertices each,
+    isolated vertices allowed, demands t in {1, 2}), with every n from r
+    to a small bound."""
+    r = draw(st.sampled_from([2, 3]))
+    families = []
+    for _ in range(draw(st.integers(1, 2))):
+        v = draw(st.integers(r, r + 2))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(v), r))),
+                              min_size=1, max_size=4, unique=True))
+        families.append((Hypergraph(v, r, tuple(edges)), draw(st.integers(1, 2))))
+    return ForbiddenConfig(tuple(families)), 7 if r == 2 else 6
+
+
+@settings(max_examples=25, deadline=None)
+@given(deletion_configs())
+@example((config_of([(K3, 2)]), 9))
+@example((config_of([(fano(), 1)]), 8))
+@example((config_of([(K3_ISO, 1), (EDGE2, 2)]), 7))
+def test_deletion_bounds_match_the_bound_free_search(tmp_path_factory, case):
+    # max_edges and enumerate_extremal (chain, cap, degree bound and
+    # extension seed) against `_solve` without (U, W), the bound-free
+    # search: the same values and class sets at every n
+    cfg, top = case
+    r = cfg.r
+    wants = {n: _solve(n, cfg, None, True, None) for n in range(r - 1, top + 1)}
+    for n in range(r, top + 1):
+        want, cache = wants[n], str(tmp_path_factory.mktemp("cache"))
+        rec = max_edges(n, cfg, cache_dir=cache)
+        assert (rec.status, rec.value, rec.upper) == (
+            "exact", want.value, want.value)
+        assert rec.extremal[0] in want.extremal
+        assert enumerate_extremal(n, cfg, cache_dir=cache) == list(want.extremal)
+        # the cap from ex(n − 1) bounds ex(n); the best one-vertex extension
+        # of an extremal graph on n − 1 vertices is feasible, contains it,
+        # and has at most ex(n) edges.  There is none when the new vertex
+        # gives an isolated vertex of some F_i room
+        prev = wants[n - 1]
+        assert solver._cap(n, r, prev.value) >= want.value
+        s = _Searcher(n, cfg)
+        w = prev.extremal[0]
+        base = s.mask_of(w)
+        count, mask = s.extend(base, prev.value, 10**6)
+        if mask is None:
+            assert not s.is_feasible(base) and count == -1
+            continue
+        assert s.is_feasible(mask) and mask.bit_count() == count
+        assert mask & base == base and mask & ~(base | s.star[-1]) == 0
+        assert w.edge_count <= count <= want.value
+
+
+@pytest.mark.parametrize("n, families", [
+    (9, ((K3, 1),)), (8, ((K3, 2),)), (8, ((K4, 1),)),
+])
+def test_node_limit_bounds_the_whole_chain(tmp_path_factory, n, families):
+    # every budget from 1 up: the chain below n and the solve at n evaluate
+    # at most L + 1 nodes in all, and a bracket holds ex(n) with its upper
+    # end at most the cap of the U the chain reached
+    cfg = config_of(families)
+    full = max_edges(n, cfg, cache_dir=str(tmp_path_factory.mktemp("full")))
+    assert full.status == "exact"
+    for limit in range(1, full.nodes + 1):
+        rec = max_edges(n, cfg, node_limit=limit,
+                        cache_dir=str(tmp_path_factory.mktemp("cache")))
+        assert rec.nodes <= limit + 1
+        if rec.status == "exact":
+            assert limit == full.nodes and rec == TuranRecord(
+                **{**vars(full), "elapsed_ms": rec.elapsed_ms})
+            break
+        upper, _ = solver._chain(_Searcher(n, cfg), limit)
+        assert 0 <= rec.value <= full.value <= rec.upper
+        assert rec.upper <= solver._cap(n, cfg.r, upper)
+        assert not brute_has_config(rec.extremal[0], cfg.families)
+        assert rec.extremal[0].edge_count == rec.value
+    else:
+        raise AssertionError("the full count's budget gave a bracket")
+
+
+def test_chain_stops_once_the_budget_is_spent(cache, monkeypatch):
+    # the chain runs in n's own searcher, built first, so that its budgets
+    # fail before the chain's work.  node_limit=1 trips at the chain's
+    # first n, K3's n0 = 3, where only the cap bounds ex(3) <= 3; nothing
+    # above it is searched, and the cap carried up from there is C(10, 2)
+    built = []
+
+    class Counted(_Searcher):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_Searcher", Counted)
+    rec = max_edges(10, config_of([(K3, 1)]), node_limit=1, cache_dir=cache)
+    assert built == [10]
+    assert rec.status == "bounds" and rec.nodes == 2
+    assert rec.value == 1 and rec.upper == 45
+    assert not os.path.exists(cache)
+    # over the copy budget, n fails before the chain searches anything
+    built.clear()
+    monkeypatch.setattr(matching, "_MAX_COPIES", 100)
+    with pytest.raises(BudgetExceededError, match="copies"):
+        max_edges(10, config_of([(K3, 1)]), cache_dir=cache)
+    assert built == [10]
+
+
+def test_frontier_guard():
+    # counts, not wall clock: the bounds solve these in a few hundred nodes
+    # each, the bound-free search in hundreds of thousands
+    assert max_edges(20, config_of([(K3, 1)]), node_limit=5000).value == 100
+    assert max_edges(16, config_of([(K4, 1)]), node_limit=5000).value == 85
+
+
+def test_table_hands_solved_rows_on(cache, monkeypatch):
+    # a row solved in this process hands (U, W) to the next row; a row read
+    # from the cache hands nothing, so the next solved row runs its chain
+    chains = []
+    real = solver._chain
+    monkeypatch.setattr(solver, "_chain",
+                        lambda s, *args: chains.append(s.n) or real(s, *args))
+    cfg = config_of([(K3, 1)])
+    ex_table(cfg, 3, 5, cache_dir=cache)
+    assert chains == [3]
+    tab = ex_table(cfg, 3, 8, cache_dir=cache)
+    assert chains == [3, 6]
+    assert [tab.value(n) for n in tab.ns] == [2, 4, 6, 9, 12, 16]
+
+
+def test_upper_bound_is_never_read_from_the_cache(cache):
+    # a record of K3 at n = 7 lowered to 11 edges, with a feasible 11-edge
+    # graph: `_load` accepts it, since it proves only a lower bound.  Read
+    # as U, it would cap ex(8) at ⌊8·11/6⌋ = 14 and mark that exact
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(7, cfg, cache_dir=cache)
+    path = _tamper(cache, value=11, upper=11, extremal=[
+        [list(e) for e in rec.extremal[0].edges[:11]]])
+    assert solver._load(path, 7, cfg).value == 11
+    assert max_edges(8, cfg, cache_dir=cache).value == 16
+    tab = ex_table(cfg, 7, 8, cache_dir=cache)
+    assert (tab.value(7), tab.value(8)) == (11, 16)
