@@ -69,24 +69,28 @@ for every feasible graph below its node, so values and enumerated classes
 are those of the bound-free search, the differential oracle; node
 counts, the value-mode witness and `seeded_lower` are the bounded ones.
 
-(U, W) for n − 1 comes from the process, never from the cache: `_load`
-proves only that a stored graph is feasible, a lower bound, so a record
-whose value was lowered would cap ex(n) too low, and the answer would be
-wrong yet exact.  `ex_table` hands each row it solves to the next, its
-`upper` and first graph.  Otherwise `_chain` derives the pair: K_{n0−1}
-is feasible for n0 = Σ t_i·v(F_i), the fewest vertices a realization
-takes, and each m from n0 to n − 1 is solved in value mode from the pair
-of m − 1, storing no record.  The chain runs in n's own searcher: the
-r-sets and copies inside the first m vertices are K_m's, in the same
-order, so a search on them makes the moves of an m-vertex searcher
-without building one, and n's budgets fail before the chain's work.
-The node limit bounds the chain and the solve together, and the
-record's `nodes` counts both.  Once the limit is spent nothing more is
-searched: the pair is carried up by the cap and an isolated vertex, and
-the record is the bracket [e(W), cap].  W may fail on more vertices,
-since an isolated vertex of some F_i finds room there; the extension
-then seeds nothing, and the bracket's lower end falls to a feasible
-seed's count or 0.
+Bounds reach a solve one way, from a start row (m, U, W): U >= ex(m)
+and W a feasible graph on m < n vertices.  The solve climbs: each k from
+m + 1 to n − 1 is solved in value mode from the (U, W) of k − 1, storing
+no record, and the (U, W) of n − 1 clips and seeds the solve of n.  The
+climb runs in n's own searcher: the r-sets and copies inside the first k
+vertices are K_k's, in the same order, so a search on them makes the
+moves of a k-vertex searcher without building one, and n's budgets fail
+before the climb's work.  The node limit bounds the climb and the
+solve together, and the record's `nodes` counts both.  Once the limit is
+spent nothing more is searched: the pair is carried up by the cap and an
+isolated vertex, and the record is the bracket [e(W), cap].  W may fail
+on more vertices, since an isolated vertex of some F_i finds room there;
+the extension then seeds nothing, and the bracket's lower end falls to a
+feasible seed's count or 0.
+
+A start row comes from the process, never from the cache: `_load` proves
+only that a stored graph is feasible, a lower bound, so a record whose
+value was lowered would cap ex(n) too low, and the answer would be wrong
+yet exact.  `ex_table` hands each row it solves to the next n as its
+start, (n, `upper`, first graph).  Any other solve starts from the
+clique row: K_{n0−1} is feasible for n0 = Σ t_i·v(F_i), the fewest
+vertices a realization takes.
 
 Both questions are one pass of best-first branch and bound (Ibaraki,
 Int. J. Comput. Inf. Sci. 5, 1976): evaluated nodes wait in a heap,
@@ -114,6 +118,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass, fields
@@ -124,7 +129,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .core import Hypergraph, _class_key, canonical_form
+from .core import Hypergraph, _class_key, canonical_form, complete
 from .errors import BudgetExceededError
 from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
                        _pack, _spans, _union, has_disjoint_config)
@@ -515,13 +520,15 @@ def _search(s: _Searcher, seeded: int, seed_mask: Optional[int], below,
 
 
 def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
-           enumerate_all: bool, node_limit: Optional[int], below=None,
-           chain: bool = False) -> TuranRecord:
-    """Solve n.  Without `below` the search is bound-free; with `below` =
-    (U, W), U ≥ ex(n − 1) and W a feasible graph on n − 1 vertices, or
-    with `chain`, which derives them by `_chain` in n's searcher, the
-    bounds clip and seed it.
-    The chain's nodes count towards the record's and the node limit."""
+           enumerate_all: bool, node_limit: Optional[int],
+           start: Optional[tuple] = None) -> TuranRecord:
+    """Solve n: bound-free without `start`, else climb from the start row
+    (m, U, W) in n's searcher, each k from m + 1 to n − 1 solved by
+    `_search` in value mode on the first k vertices, with no record and no
+    canonical form, and bound the solve of n by the (U, W) of n − 1
+    (module docstring).  Once the node limit is spent the k left are not
+    searched: U is carried up by `_cap`, and W as it stands
+    (`_Searcher.extend` rechecks it)."""
     t0 = time.perf_counter()
     limit = _node_limit(node_limit)
     s = _Searcher(n, config)
@@ -536,10 +543,18 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
             seeded = seed.edge_count
             seed_mask = m
 
-    if chain:
-        below = _chain(s, limit)
-    elif below is not None:
-        below = below[0], s.mask_of(below[1])
+    below = None
+    if start is not None:
+        m, upper, w = start
+        w = s.mask_of(w)
+        for k in range(m + 1, n):
+            if s.nodes >= limit:
+                upper = _cap(k, config.r, upper)
+                continue
+            _, upper, mask, _, _ = _search(s, 0, None, (upper, w), limit,
+                                           False, k)
+            w = mask or 0  # with no feasible graph found, the empty one
+        below = upper, w
     value, upper, witness, forms, seeded = _search(
         s, seeded, seed_mask, below, limit, enumerate_all)
     extremal = tuple(sorted(forms, key=lambda g: g.edges))
@@ -552,33 +567,11 @@ def _solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
                        elapsed, seeded)
 
 
-def _chain(s: _Searcher, limit: int) -> tuple[int, int]:
-    """(U, W) for n − 1, in searcher s: U ≥ ex(n − 1) and W the edge mask
-    of a feasible graph on the first n − 1 vertices.  No realization fits
-    in fewer than n0 = Σ t_i·v(F_i) vertices, so K_{n0−1} is feasible;
-    from there each m < n is solved by `_search` in value mode on the
-    first m vertices, from the (U, W) of m − 1, with no record and no
-    canonical form.  Its nodes count on s's counter; once that reaches
-    `limit`, the m left are not searched: U is carried up by `_cap`, and
-    W as it stands (`_Searcher.extend` rechecks it)."""
-    r = s.r
-    m = min(s.n, sum(f.n * t for f, t in s.config.families)) - 1
-    upper, w = comb(m, r), s.within(m)[1]
-    for m in range(m + 1, s.n):
-        if s.nodes >= limit:
-            upper = _cap(m, r, upper)
-            continue
-        _, upper, mask, _, _ = _search(s, 0, None, (upper, w), limit, False,
-                                       m)
-        w = mask or 0  # with no feasible graph found, the empty one
-    return upper, w
-
-
 def _cache_path(n: int, config: ForbiddenConfig, cache_dir) -> str:
-    """The record's file: in `cache_dir`, else TURANKIT_CACHE, else the
-    default directory, named by a hash of the config hash and n."""
+    """The record's file: in `cache_dir`, else a non-empty TURANKIT_CACHE,
+    else the default directory, named by a hash of the config hash and n."""
     if cache_dir is None:
-        cache_dir = os.environ.get("TURANKIT_CACHE", _DEFAULT_CACHE_DIR)
+        cache_dir = os.environ.get("TURANKIT_CACHE") or _DEFAULT_CACHE_DIR
     key = blake2b(f"{config.hash_hex()}|n{n}".encode(), digest_size=8)
     return os.path.join(str(cache_dir), key.hexdigest() + ".json")
 
@@ -587,13 +580,14 @@ def _store(record: TuranRecord, path: str) -> None:
     """Write the format and the record's fields in declaration order,
     each graph as its edge list, to a temporary file beside `path`, then
     move it into place, so an interrupted write never replaces a good
-    record."""
+    record.  The file is named per thread, so that two threads storing
+    one record never move each other's."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     doc = {"format": _FORMAT}
     for f in fields(TuranRecord):
         doc[f.name] = getattr(record, f.name)
     doc["extremal"] = [[list(e) for e in g.edges] for g in record.extremal]
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
@@ -652,25 +646,26 @@ def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
 
 def _cached_solve(n: int, config: ForbiddenConfig, seed: Optional[Hypergraph],
                   enumerate_all: bool, cache_dir, node_limit: Optional[int],
-                  handoff: Optional[list] = None) -> TuranRecord:
-    """The cached record when it answers the question, else a solve,
-    stored when exact.  The solve takes (U, W) for n − 1 from `handoff`,
-    a one-item list holding a record of n − 1 solved in this process, or
-    else from `_chain`; it puts its own record there, and a cache hit puts
-    None, since a record read from disk proves no upper bound."""
+                  start: Optional[tuple] = None):
+    """(record, row): the cached record when it answers the question, else
+    a solve from `start`, or from the clique row (m, C(m, r), K_m), m =
+    min(n, n0) − 1, or bound-free at n = 0, stored when exact.  An exact
+    solve hands on its row (n, upper, first graph); a cache hit hands on
+    None, since a record read from disk proves no upper bound, and so does
+    a bracket, where `ex_table` stops."""
     node_limit = _node_limit(node_limit)  # refused even on a cache hit
-    handoff = handoff or [None]
-    prev, handoff[0] = handoff[0], None
     path = _cache_path(n, config, cache_dir)
     cached = _load(path, n, config)
     if cached is not None and (cached.extremal_complete or not enumerate_all):
-        return cached
-    below = None if prev is None else (prev.upper, prev.extremal[0])
-    record = handoff[0] = _solve(n, config, seed, enumerate_all, node_limit,
-                                 below, below is None and n > 0)
-    if record.status == "exact":
-        _store(record, path)
-    return record
+        return cached, None
+    if start is None and n > 0:
+        m = min(n, sum(f.n * t for f, t in config.families)) - 1
+        start = m, comb(m, config.r), complete(m, config.r)
+    record = _solve(n, config, seed, enumerate_all, node_limit, start)
+    if record.status != "exact":
+        return record, None
+    _store(record, path)
+    return record, (n, record.upper, record.extremal[0])
 
 
 def _exact(record: TuranRecord) -> TuranRecord:
@@ -683,12 +678,9 @@ def _exact(record: TuranRecord) -> TuranRecord:
 
 def max_edges(n: int, config: ForbiddenConfig,
               seed: Optional[Hypergraph] = None, *,
-              cache_dir=None, node_limit: Optional[int] = None,
-              _handoff: Optional[list] = None) -> TuranRecord:
-    """Exact maximum edge count of a feasible graph on n vertices.
-    `_handoff` is `ex_table`'s, passed on to `_cached_solve`."""
-    return _cached_solve(n, config, seed, False, cache_dir, node_limit,
-                         _handoff)
+              cache_dir=None, node_limit: Optional[int] = None) -> TuranRecord:
+    """Exact maximum edge count of a feasible graph on n vertices."""
+    return _cached_solve(n, config, seed, False, cache_dir, node_limit)[0]
 
 
 def enumerate_extremal(n: int, config: ForbiddenConfig,
@@ -697,7 +689,7 @@ def enumerate_extremal(n: int, config: ForbiddenConfig,
                        node_limit: Optional[int] = None) -> list[Hypergraph]:
     """All maximum feasible graphs up to isomorphism (canonical forms)."""
     return list(_exact(_cached_solve(n, config, seed, True, cache_dir,
-                                     node_limit)).extremal)
+                                     node_limit)[0]).extremal)
 
 
 @dataclass(frozen=True)
@@ -741,16 +733,19 @@ def _check_range(n_lo: int, n_hi: int) -> None:
 def ex_table(config: ForbiddenConfig, n_lo: int, n_hi: int, *,
              cache_dir=None, node_limit: Optional[int] = None) -> TuranTable:
     """Solve a contiguous n-range, each row with its own node limit.  A
-    row solved here hands its value and witness to the next row as (U, W)
-    (module docstring); a row read from the cache hands nothing, and the
-    next row, if not cached too, derives (U, W) from its own chain."""
+    row solved here is the next row's start row (module docstring), so the
+    next solve climbs nothing; a row read from the cache hands on nothing,
+    and the next row, if not cached too, climbs from the clique row, its
+    budget covering the climb.  A row hands on the canonical form of its
+    witness, so a row's witness and node count can differ from a cold
+    solve's, though its value cannot: 2K3 at n = 7 takes 24 nodes, with
+    another witness class, against 42 cold."""
     _check_range(n_lo, n_hi)
-    records = []
-    handoff = [None]
+    records, row = [], None
     for n in range(n_lo, n_hi + 1):
-        records.append(_exact(max_edges(n, config, cache_dir=cache_dir,
-                                        node_limit=node_limit,
-                                        _handoff=handoff)))
+        record, row = _cached_solve(n, config, None, False, cache_dir,
+                                    node_limit, row)
+        records.append(_exact(record))
     return TuranTable(config, tuple(records))
 
 
@@ -759,7 +754,7 @@ def pi_upper(config: ForbiddenConfig, n: int, *,
     """ex(n, config)/C(n, r): a certified density upper bound, since the
     ratio is nonincreasing in n.  That is the cap of the module docstring
     divided by C(n, r) = n·C(n − 1, r)/(n − r); the solve uses the cap
-    itself, with the chain below n."""
+    itself, climbing to n from the clique row."""
     if n < config.r:
         raise ValueError(f"pi_upper needs n >= r = {config.r}")
     rec = _exact(max_edges(n, config, cache_dir=cache_dir,

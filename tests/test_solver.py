@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -416,6 +417,51 @@ def test_interrupted_cache_write_keeps_previous_record(cache, monkeypatch):
         assert fh.read() == before
     assert os.listdir(cache) == [name]
     assert max_edges(6, cfg, cache_dir=cache) == rec
+
+
+def test_two_threads_store_one_record(cache, monkeypatch):
+    # thread A is held inside os.replace while this thread solves and stores
+    # the same record.  One temporary name per process let this thread's
+    # store move A's file away, and A's solve then raised FileNotFoundError
+    cfg = config_of([(K3, 1)])
+    real = os.replace
+    inside, release, results = threading.Event(), threading.Event(), []
+
+    def replace(src, dst):
+        if threading.current_thread() is a:
+            inside.set()
+            release.wait(10)
+        return real(src, dst)
+
+    def solve():
+        try:
+            results.append(max_edges(6, cfg, cache_dir=cache))
+        except OSError as exc:
+            results.append(exc)
+
+    monkeypatch.setattr(solver.os, "replace", replace)
+    a = threading.Thread(target=solve)
+    a.start()
+    try:
+        assert inside.wait(10)
+        rec = max_edges(6, cfg, cache_dir=cache)
+    finally:
+        release.set()
+        a.join(10)
+    assert not a.is_alive()
+    got, = results
+    assert isinstance(got, TuranRecord) and got.value == rec.value == 9
+    assert len(os.listdir(cache)) == 1  # no temporary file is left
+
+
+def test_an_empty_cache_variable_reads_as_unset(tmp_path, monkeypatch):
+    # as an empty TURANKIT_NODE_LIMIT does; read as a directory, the empty
+    # string put records in the working directory
+    monkeypatch.setenv("TURANKIT_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    assert max_edges(5, config_of([(K3, 1)])).value == 6
+    assert os.listdir(tmp_path) == [".turankit-cache"]
+    assert len(os.listdir(tmp_path / ".turankit-cache")) == 1
 
 
 def test_cache_round_trip_at_seventeen(cache, monkeypatch):
@@ -1107,7 +1153,7 @@ def deletion_configs(draw):
 @example((config_of([(fano(), 1)]), 8))
 @example((config_of([(K3_ISO, 1), (EDGE2, 2)]), 7))
 def test_deletion_bounds_match_the_bound_free_search(tmp_path_factory, case):
-    # max_edges and enumerate_extremal (chain, cap, degree bound and
+    # max_edges and enumerate_extremal (climb, cap, degree bound and
     # extension seed) against `_solve` without (U, W), the bound-free
     # search: the same values and class sets at every n
     cfg, top = case
@@ -1142,9 +1188,9 @@ def test_deletion_bounds_match_the_bound_free_search(tmp_path_factory, case):
     (9, ((K3, 1),)), (8, ((K3, 2),)), (8, ((K4, 1),)),
 ])
 def test_node_limit_bounds_the_whole_chain(tmp_path_factory, n, families):
-    # every budget from 1 up: the chain below n and the solve at n evaluate
+    # every budget from 1 up: the climb below n and the solve at n evaluate
     # at most L + 1 nodes in all, and a bracket holds ex(n) with its upper
-    # end at most the cap of the U the chain reached
+    # end at most the cap of the U the climb reached
     cfg = config_of(families)
     full = max_edges(n, cfg, cache_dir=str(tmp_path_factory.mktemp("full")))
     assert full.status == "exact"
@@ -1156,7 +1202,11 @@ def test_node_limit_bounds_the_whole_chain(tmp_path_factory, n, families):
             assert limit == full.nodes and rec == TuranRecord(
                 **{**vars(full), "elapsed_ms": rec.elapsed_ms})
             break
-        upper, _ = solver._chain(_Searcher(n, cfg), limit)
+        # the climb to n − 1 from the clique row makes the moves of the
+        # solve of n − 1 from it
+        m = sum(f.n * t for f, t in cfg.families) - 1
+        upper = _solve(n - 1, cfg, None, False, limit,
+                       (m, comb(m, cfg.r), complete(m, cfg.r))).upper
         assert 0 <= rec.value <= full.value <= rec.upper
         assert rec.upper <= solver._cap(n, cfg.r, upper)
         assert not brute_has_config(rec.extremal[0], cfg.families)
@@ -1166,8 +1216,8 @@ def test_node_limit_bounds_the_whole_chain(tmp_path_factory, n, families):
 
 
 def test_chain_stops_once_the_budget_is_spent(cache, monkeypatch):
-    # the chain runs in n's own searcher, built first, so that its budgets
-    # fail before the chain's work.  node_limit=1 trips at the chain's
+    # the climb runs in n's own searcher, built first, so that its budgets
+    # fail before the climb's work.  node_limit=1 trips at the climb's
     # first n, K3's n0 = 3, where only the cap bounds ex(3) <= 3; nothing
     # above it is searched, and the cap carried up from there is C(10, 2)
     built = []
@@ -1183,7 +1233,7 @@ def test_chain_stops_once_the_budget_is_spent(cache, monkeypatch):
     assert rec.status == "bounds" and rec.nodes == 2
     assert rec.value == 1 and rec.upper == 45
     assert not os.path.exists(cache)
-    # over the copy budget, n fails before the chain searches anything
+    # over the copy budget, n fails before the climb searches anything
     built.clear()
     monkeypatch.setattr(matching, "_MAX_COPIES", 100)
     with pytest.raises(BudgetExceededError, match="copies"):
@@ -1199,18 +1249,43 @@ def test_frontier_guard():
 
 
 def test_table_hands_solved_rows_on(cache, monkeypatch):
-    # a row solved in this process hands (U, W) to the next row; a row read
-    # from the cache hands nothing, so the next solved row runs its chain
-    chains = []
-    real = solver._chain
-    monkeypatch.setattr(solver, "_chain",
-                        lambda s, *args: chains.append(s.n) or real(s, *args))
+    # a row solved in this process is the next row's start row; a row read
+    # from the cache hands nothing on, so the next solved row climbs from
+    # the clique row K_2
+    starts = []
+    real = solver._solve
+    monkeypatch.setattr(solver, "_solve", lambda n, *args: starts.append(
+        (n, args[-1][0])) or real(n, *args))
     cfg = config_of([(K3, 1)])
     ex_table(cfg, 3, 5, cache_dir=cache)
-    assert chains == [3]
+    assert starts == [(3, 2), (4, 3), (5, 4)]
+    starts.clear()
     tab = ex_table(cfg, 3, 8, cache_dir=cache)
-    assert chains == [3, 6]
+    assert starts == [(6, 2), (7, 6), (8, 7)]
     assert [tab.value(n) for n in tab.ns] == [2, 4, 6, 9, 12, 16]
+
+
+@pytest.mark.parametrize("families, lo, hi", [
+    (((K3, 1),), 3, 12), (((K4, 1),), 4, 10), (((K3, 2),), 6, 10),
+    (((fano(), 1),), 7, 9),
+])
+def test_tables_match_cold_solves(tmp_path_factory, families, lo, hi):
+    # every row against a cold max_edges in a fresh cache: the same status,
+    # value and upper.  The first row starts where the cold solve does and
+    # is the same record; each later row starts from the row below, so the
+    # table takes fewer nodes than the cold solves
+    cfg = config_of(families)
+    tab = ex_table(cfg, lo, hi, cache_dir=str(tmp_path_factory.mktemp("t")))
+    cold = [max_edges(n, cfg, cache_dir=str(tmp_path_factory.mktemp("c")))
+            for n in range(lo, hi + 1)]
+    assert [(rec.n, rec.status, rec.value, rec.upper)
+            for rec in tab.records] == [
+        (rec.n, rec.status, rec.value, rec.upper) for rec in cold]
+    first = tab.records[0]
+    assert first == TuranRecord(**{**vars(cold[0]),
+                                   "elapsed_ms": first.elapsed_ms})
+    assert sum(rec.nodes for rec in tab.records) < sum(
+        rec.nodes for rec in cold)
 
 
 def test_upper_bound_is_never_read_from_the_cache(cache):
