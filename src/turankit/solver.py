@@ -123,12 +123,14 @@ import time
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from hashlib import blake2b
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
+from . import matching
 from .core import Hypergraph, _class_key, canonical_form, complete
 from .errors import BudgetExceededError
 from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
@@ -142,8 +144,9 @@ _DEFAULT_CACHE_DIR = ".turankit-cache"
 _FORMAT = 2
 # The edge budget, checked before the universe is built; the copy tables
 # stop at `matching._MAX_COPIES` copies of one family.  The largest
-# universe any test, acceptance criterion or benchmark workload builds is
-# C(17, 2) = 136 edges.
+# universe any test, acceptance criterion, benchmark workload or CI probe
+# builds is C(20, 2) = 190 edges (K3 at n = 20, in CI's frontier and table
+# probes).
 _MAX_EDGES = 1000
 
 
@@ -598,22 +601,46 @@ def _store(record: TuranRecord, path: str) -> None:
 
 
 def _load(path: str, n: int, config: ForbiddenConfig) -> Optional[TuranRecord]:
-    """Reload a cached record of the current format, rechecking every
-    stored extremal graph with `matching`'s packing search before
-    trusting it.  The checks follow `TuranRecord`'s fields: the record
-    is rebuilt by field name, so a missing or unknown key is a miss, and
-    every int field must hold an int.  None on any other mismatch too (an
-    exact record of this (n, r, config hash) has upper == value, a bool
-    `extremal_complete` and at least one graph, no two isomorphic, each
-    feasible with `value` edges), and for an n over the edge budget, so
-    that the solve raises as on a miss.  Over `matching._MAX_COPIES`
-    copies in a stored graph raise, as they would in K_n's solve."""
+    """Reload a cached record: None for an n over the edge budget, so that
+    the solve raises as on a miss, and for a file that cannot be read;
+    else `_checked` of the file's bytes.  Its memo is keyed on the bytes,
+    n, the config and `matching._MAX_COPIES`, so each distinct content is
+    checked in full on its first read in the process, a rewritten file is
+    new content, and a read under another copy budget checks again, so it
+    raises wherever the recheck would."""
     if comb(n, config.r) > _MAX_EDGES:
         return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    return _checked(data, n, config, matching._MAX_COPIES)
+
+
+@lru_cache(maxsize=256)
+def _checked(data: bytes, n: int, config: ForbiddenConfig,
+             budget: int) -> Optional[TuranRecord]:
+    """The record a cache file's bytes hold for (n, config), rechecking
+    every stored extremal graph with `matching`'s packing search before
+    trusting it.  Bytes that are not UTF-8, or not JSON that the parser
+    can nest, are a miss.  The checks follow `TuranRecord`'s fields: the
+    record is rebuilt by field name, so a missing or unknown key is a
+    miss, and every int field must hold an int.  None on any other
+    mismatch too (an exact record of the current format and this (n, r,
+    config hash) has upper == value, a bool `extremal_complete` and at
+    least one graph, no two isomorphic, each feasible with `value`
+    edges).  Over `budget` (`matching._MAX_COPIES`) copies in a stored
+    graph raise, as they would in K_n's solve.
+
+    Memoized on everything the checks read, so equal arguments give an
+    equal answer, a record or a miss.  The budget is read by the packing
+    search, not here, but it is part of the key: a record that passed
+    under one budget must still raise under a smaller one, and a raise
+    is never memoized."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     try:
         if doc.pop("format") != _FORMAT:

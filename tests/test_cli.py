@@ -245,6 +245,20 @@ def test_warm_cache_skips_search(files, capsys, monkeypatch):
     assert code == 0 and text.strip() == "9"
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100_000],
+                         ids=["not-utf8", "too-deep"])
+def test_undecodable_cache_record_is_solved_again(files, capsys, monkeypatch,
+                                                  tmp_path, data):
+    # a record that is not UTF-8 exited 2 as an input error, and one nested
+    # past the JSON parser's depth exited 1 with a traceback
+    monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))
+    argv = ["ex", "--n", "6", "--family", files["k3.hg"] + ":1"]
+    assert invoke(argv, capsys)[:2] == (0, "9\n")
+    for record in tmp_path.iterdir():
+        record.write_bytes(data)
+    assert invoke(argv, capsys) == (0, "9\n", "")
+
+
 def test_node_limit_gives_bounds_exit(files, capsys, monkeypatch, tmp_path):
     # fresh cache: a warm one would answer exactly despite the tiny budget
     monkeypatch.setenv("TURANKIT_CACHE", str(tmp_path))

@@ -361,6 +361,23 @@ def test_cache_recomputes_records_of_other_formats(cache):
         assert max_edges(6, cfg, cache_dir=cache).value == 15
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe",       # not UTF-8
+    b"[" * 100_000,    # deeper than the JSON parser nests
+], ids=["not-utf8", "too-deep"])
+def test_cache_recomputes_undecodable_records(cache, data):
+    # both used to escape the load: a UnicodeDecodeError, a RecursionError
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert solver._load(path, 6, cfg) is None
+    again = max_edges(6, cfg, cache_dir=cache)
+    assert again.value == 9 and again.extremal == rec.extremal
+    assert solver._load(path, 6, cfg) == again  # stored again
+
+
 def test_cache_file_format_is_pinned(cache, monkeypatch):
     # ex(5, K3) = 6 as written to disk: the file name, the keys and their
     # order are the cache format, which caches filled before rely on
@@ -569,6 +586,73 @@ def test_copy_budget_trips_in_the_recheck_of_a_stored_graph(cache, monkeypatch):
     with pytest.raises(BudgetExceededError, match="copies"):
         max_edges(7, cfg, cache_dir=cache)
     assert len(listed) == 12
+
+
+def test_a_second_read_of_an_unchanged_record_skips_the_recheck(
+        cache, monkeypatch):
+    cfg = config_of([(K3, 2)])
+    first = max_edges(7, cfg, cache_dir=cache)
+    calls = []
+    real = solver.has_disjoint_config
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "has_disjoint_config", counted)
+    solver._checked.cache_clear()
+    assert max_edges(7, cfg, cache_dir=cache) == first
+    assert len(calls) == len(first.extremal)  # new content: checked in full
+    calls.clear()
+    assert max_edges(7, cfg, cache_dir=cache) == first
+    assert calls == []
+
+
+def test_a_rewritten_record_is_checked_again(cache):
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    path = os.path.join(cache, os.listdir(cache)[0])
+    assert solver._load(path, 6, cfg) == rec
+    # K_{3,3} plus an edge inside a side: 10 edges, as the value says,
+    # and a triangle that only the packing recheck finds
+    g = rec.extremal[0]
+    e = next(e for e in combinations(range(6), 2) if e not in g.edges)
+    plus = sorted(g.edges + (e,))
+    assert brute_has_config(Hypergraph(6, 2, tuple(plus)), cfg.families)
+    _tamper(cache, extremal=[[list(f) for f in plus]], value=10, upper=10)
+    assert solver._load(path, 6, cfg) is None
+    assert max_edges(6, cfg, cache_dir=cache).value == 9
+
+
+def test_a_record_copied_to_another_question_is_refused(cache):
+    cfg = config_of([(K3, 1)])
+    max_edges(6, cfg, cache_dir=cache)
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert solver._load(path, 6, cfg) is not None
+    for n, other in ((7, cfg), (6, config_of([(K3, 2)])),
+                     (6, config_of([(K4, 1)]))):
+        moved = solver._cache_path(n, other, cache)
+        with open(moved, "wb") as fh:
+            fh.write(data)
+        assert solver._load(moved, n, other) is None
+    assert max_edges(7, cfg, cache_dir=cache).value == 12
+
+
+def test_a_mended_record_is_accepted(cache, monkeypatch):
+    cfg = config_of([(K3, 1)])
+    rec = max_edges(6, cfg, cache_dir=cache)
+    path = os.path.join(cache, os.listdir(cache)[0])
+    with open(path, "rb") as fh:
+        good = fh.read()
+    _tamper(cache, value=11)
+    assert solver._load(path, 6, cfg) is None
+    with open(path, "wb") as fh:
+        fh.write(good)
+    monkeypatch.setattr(solver, "_solve", None)  # a hit never solves
+    assert solver._load(path, 6, cfg) == rec
+    assert max_edges(6, cfg, cache_dir=cache) == rec
 
 
 def test_size_budget(cache, monkeypatch):
