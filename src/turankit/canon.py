@@ -285,9 +285,9 @@ def canonical_labeling(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], 
     over all n! permutations, so isomorphic inputs produce identical edge
     lists.
     """
+    if not edges:  # every labeling is least: skip the scan's n - 1 generators
+        return tuple(range(n)), ()
     generators, seed_perm, seed_edges = refinement_scan(n, edges)
-    if not edges:
-        return seed_perm, ()
 
     m = len(edges)
     r = len(edges[0])

@@ -17,7 +17,7 @@ list (no relabeling).
 
 from __future__ import annotations
 
-import hashlib
+from _blake2 import blake2b
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,9 +176,16 @@ class CanonicalForm:
 
 
 def content_hash64(n: int, r: int, edges: Sequence[Edge]) -> int:
-    """Stable 64-bit digest of a (n, r, edge list) triple."""
+    """Stable 64-bit digest of a (n, r, edge list) triple.
+
+    BLAKE2b comes from CPython's builtin `_blake2` module: importing
+    `hashlib` would load OpenSSL's libcrypto too, some 3.5 MB resident in
+    every process, for hashes the package never calls.  On CPython
+    `hashlib.blake2b` is `_blake2.blake2b`, so the digests (canonical-form
+    hashes, config hashes and cache file names; the solver takes
+    `blake2b` from here) are the ones `hashlib` gives."""
     text = f"{n}|{r}|" + ";".join(",".join(map(str, e)) for e in edges)
-    digest = hashlib.blake2b(text.encode("ascii"), digest_size=8).digest()
+    digest = blake2b(text.encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
@@ -252,6 +259,8 @@ def canonical_form(g: Hypergraph) -> CanonicalForm:
 def _class_key(g: Hypergraph) -> tuple:
     """Equal exactly for isomorphic graphs: (n, r) and the refinement
     scan's certificate, without `canonical_form`'s lex-min search."""
+    if not g.edges:  # one class per (n, r): skip the scan's generators
+        return g.n, g.r, ()
     return g.n, g.r, refinement_scan(g.n, g.edges).edges
 
 

@@ -332,13 +332,13 @@ def _pack(spans, conf, marks, dead: Optional[set] = None):
         while left >= need:
             low = cand & -cand
             c = low.bit_length() - 1
+            if need == 1 and fi == last:  # nothing is left to place
+                return marks[c]
             rest = avail & -(low << 1) & ~conf[c]
             if need > 1:
                 got = step(step, rest, fi, need - 1)
-            elif fi < last:
-                got = step(step, rest, fi + 1, spans[fi + 1][1])
             else:
-                got = 0
+                got = step(step, rest, fi + 1, spans[fi + 1][1])
             if got is not None:
                 return got | marks[c]
             cand ^= low

@@ -124,14 +124,13 @@ from contextlib import suppress
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from hashlib import blake2b
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
 from . import matching
-from .core import Hypergraph, _class_key, canonical_form, complete
+from .core import Hypergraph, _class_key, blake2b, canonical_form, complete
 from .errors import BudgetExceededError
 from .matching import (_bits, _conflicts, _embeddings, _normalize_families,
                        _pack, _spans, _union, has_disjoint_config)

@@ -13,14 +13,16 @@ phase-1 scan and the orbit oracle; the freezing-search reference shares
 the solver's copy tables and realization kernel; the per-size blowup
 walk shares the blowup search's tables and memo.  The row floor, the
 dense Lagrangian gradient and the `Fraction` polynomial are the kernels
-`patterns` replaced, kept whole.  Budgets: n <= 7 for
-relabeling scans, small edge counts for packing enumeration.
+`patterns` replaced, kept whole.  The digest reference takes BLAKE2b
+from `hashlib`, where the package takes it from `_blake2`.  Budgets:
+n <= 7 for relabeling scans, small edge counts for packing enumeration.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from fractions import Fraction
+from hashlib import blake2b
 from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Iterator, Optional, Sequence
@@ -112,6 +114,16 @@ def reference_semibipartite(n: int, r: int) -> Hypergraph:
 
 FANO_EDGES = ((0, 1, 2), (0, 3, 6), (0, 4, 5), (1, 3, 5), (1, 4, 6),
               (2, 3, 4), (2, 5, 6))
+
+
+def reference_content_hash64(n: int, r: int, edges) -> int:
+    """The canonical-form digest from `hashlib`: BLAKE2b with 8 bytes of
+    output over "n|r|" and the edges, vertices joined by "," and edges by
+    ";", read as a big-endian integer."""
+    text = "%d|%d|%s" % (n, r, ";".join(",".join("%d" % v for v in e)
+                                       for e in edges))
+    digest = blake2b(text.encode("ascii"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 def fano_graph() -> Hypergraph:

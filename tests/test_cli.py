@@ -432,6 +432,36 @@ def test_parser_is_not_built_at_import():
     assert proc.stdout.strip() == "0"
 
 
+_DIGESTS = """
+import json, os, sys
+import turankit, turankit.cli
+from turankit.core import canonical_form, complete
+from turankit.solver import config_of, max_edges
+k3 = complete(3, 2)
+record = max_edges(6, config_of([(k3, 1)]), cache_dir=sys.argv[1])
+print(json.dumps({
+    "value": record.value, "config": record.config_hash,
+    "hash": canonical_form(k3).hash_hex, "files": os.listdir(sys.argv[1]),
+    "loaded": sorted({"hashlib", "_hashlib"} & set(sys.modules))}))
+"""
+
+
+def test_the_package_loads_no_openssl(tmp_path):
+    # pytest and hypothesis import hashlib themselves, so a child checks;
+    # the digests are the ones every earlier cache was written with
+    src_dir = str(Path(turankit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGESTS, str(tmp_path / "cache")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "value": 9, "config": "76e19f39f13b48fa", "hash": "b259dc178b9b6ae8",
+        "files": ["28557e6b4ad88f90.json"], "loaded": []}
+
+
 def test_verify_smoothness_pass_and_fail(files, capsys):
     base = ["verify", "smoothness", "--family", files["k3.hg"] + ":1",
             "--from", "3", "--to", "8"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turankit.canon import canonical_labeling, refinement_scan
 from turankit.core import (
     Hypergraph,
     are_isomorphic,
     canonical_form,
     complete,
+    content_hash64,
     disjoint_union,
     dumps_hg,
     empty,
@@ -30,6 +33,7 @@ from oracles import (
     min_relabeling,
     path_graph,
     reference_are_isomorphic,
+    reference_content_hash64,
     relabel,
     turan_graph,
 )
@@ -291,6 +295,41 @@ def test_iso_agrees_with_lex_min_reference(r, n, data, rnd):
     for a, b in pairs:
         assert are_isomorphic(a, b) == reference_are_isomorphic(a, b)
     assert are_isomorphic(g, h)
+
+
+def test_edgeless_graphs_skip_the_scan():
+    # the labeling the scan's one leaf gave, for every small edgeless graph
+    for n in range(7):
+        scan = refinement_scan(n, ())
+        assert canonical_labeling(n, ()) == (scan.perm, scan.edges) \
+            == (tuple(range(n)), ())
+        for r in (1, 2, 3):
+            g = Hypergraph(n, r)
+            assert canonical_form(g).edges == min_relabeling(g)
+            assert are_isomorphic(g, Hypergraph(n, r))
+            assert not are_isomorphic(g, Hypergraph(n + 1, r))
+    # and no n - 1 transpositions of length n are built on the way
+    g = Hypergraph(1000, 2)
+    tracemalloc.start()
+    try:
+        form = canonical_form(g)
+        same = are_isomorphic(g, Hypergraph(1000, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.permutation == tuple(range(1000)) and form.edges == ()
+    assert same and peak < 1 << 20
+
+
+# -- digests --------------------------------------------------------------
+
+
+@given(hypergraphs(max_n=7))
+def test_content_hash_matches_hashlib_reference(g):
+    assert content_hash64(g.n, g.r, g.edges) \
+        == reference_content_hash64(g.n, g.r, g.edges)
+    form = canonical_form(g)
+    assert form.hash64 == reference_content_hash64(g.n, g.r, form.edges)
 
 
 # -- hg format ------------------------------------------------------------

@@ -56,6 +56,9 @@ def test_config_normalization_merges_isomorphic():
     assert cfg.hash_hex() == ForbiddenConfig(((p3a, 2),)).hash_hex()
     # configurations merged before keep their hashes
     assert config_of([(K3, 1)]).hash_hex() == "76e19f39f13b48fa"
+    # and the records they name
+    assert solver._cache_path(9, config_of([(K3, 1)]), "d").endswith(
+        "35fc5e7153bd942c.json")
 
 
 def test_config_hash_order_and_relabel_invariant():
